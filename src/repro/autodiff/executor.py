@@ -1,4 +1,4 @@
-"""Schedule-driven backpropagation on real tensors (engine facade).
+"""Schedule-driven backpropagation on real tensors.
 
 :func:`run_schedule` executes any :class:`~repro.checkpointing.Schedule`
 (Revolve, uniform, heterogeneous-DP, store-all) against a
@@ -10,12 +10,15 @@
   layers recompute their context from the stored input) and chains the
   gradient.
 
-The action interpreter lives in :mod:`repro.engine` — the same virtual
-machine that backs :func:`repro.checkpointing.simulate`, here driving a
-:class:`~repro.engine.tensor.TensorBackend`.  This module is the
-compatibility surface: unchanged signature, unchanged
-:class:`~repro.errors.ExecutionError` behavior, unchanged
-:class:`CheckpointedResult`.
+Execution is one :func:`repro.engine.execute` of the schedule's
+compiled program — the same virtual machine that backs
+:func:`repro.checkpointing.simulate`, here driving a
+:class:`~repro.engine.tensor.TensorBackend`.  The program is compiled
+once per schedule object, so a training loop that reuses its schedule
+validates it once and never again; an invalid schedule raises
+:class:`~repro.errors.ExecutionError` before any layer runs.  This
+module adds the tracing span and the :class:`CheckpointedResult` (loss
+and gradients, which the engine's ``RunStats`` does not carry).
 
 The result's gradients are **numerically identical** to the store-all
 reference (``SequentialNet.train_step``) — floating-point operations are
@@ -74,9 +77,9 @@ def run_schedule(
     """Execute ``schedule`` to compute loss and gradients for one batch.
 
     Raises :class:`~repro.errors.ExecutionError` on schedule/network
-    length mismatch or invariant violations (same rules — and, since the
-    unification, the same messages — as the abstract simulator, but on
-    live tensors).  ``on_step`` is an optional VM step callback invoked
+    length mismatch or invariant violations (the compiler's rules and
+    messages, shared with the abstract simulator), before any tensor
+    work starts.  ``on_step`` is an optional VM step callback invoked
     with a :class:`~repro.engine.stats.StepStats` after every schedule
     action.
     """

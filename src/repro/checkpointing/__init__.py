@@ -11,8 +11,9 @@ The package exposes:
   alphabet (:mod:`~repro.checkpointing.joint`) — all behind one registry
   (:func:`get_strategy`, :func:`available_strategies`) with a memoized
   schedule cache;
-* a validating :func:`simulate` virtual machine measuring cost and peak
-  memory of any schedule;
+* :func:`simulate`, which validates any schedule and measures its cost
+  and peak memory on the engine's virtual machine (returning
+  :class:`repro.engine.RunStats`);
 * the planner mapping recompute factor ρ ↔ slots ↔ bytes (Figure 1) and
   choosing strategies for device budgets.
 """
@@ -42,7 +43,7 @@ from .schedule import Schedule
 from .realchain import RealChainPlan, plan_real_chain, working_set_bytes
 from .serialize import FORMAT_VERSION, schedule_from_json, schedule_to_json
 from .timeline import TimelinePoint, memory_timeline, timeline_ascii
-from .simulator import ExecutionStats, simulate, validate
+from .simulator import simulate, validate
 from .revolve import (
     beta,
     extra_forwards,
@@ -160,7 +161,6 @@ __all__ = [
     "TimelinePoint",
     "memory_timeline",
     "timeline_ascii",
-    "ExecutionStats",
     "simulate",
     "validate",
     "beta",

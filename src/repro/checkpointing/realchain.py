@@ -106,7 +106,6 @@ def plan_real_chain(
     schedule = budget_schedule(spec, snapshot_budget, levels=levels)
     cost, _ = opt_forwards_budget(spec, snapshot_budget, levels=levels)
     stats = simulate(schedule, spec)
-    sweep = spec.total_fwd_cost - spec.fwd_cost[-1]
     return RealChainPlan(
         model=chain.name,
         batch_size=batch_size,
@@ -115,7 +114,7 @@ def plan_real_chain(
         working_set=ws,
         snapshot_budget=snapshot_budget,
         schedule=schedule,
-        extra_forward_cost=stats.forward_cost - sweep,
+        extra_forward_cost=stats.extra_forward_cost(spec),
         baseline_fwd_cost=spec.total_fwd_cost,
         peak_snapshot_bytes=stats.peak_slot_bytes,
     )

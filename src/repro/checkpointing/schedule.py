@@ -2,17 +2,23 @@
 
 A :class:`Schedule` is an ordered list of :class:`~.actions.Action`
 generated by one of the strategies, annotated with the chain length and the
-slot budget it was generated for.  Validation and measurement are done by
-executing it on the virtual machine in
-:mod:`repro.checkpointing.simulator`.
+slot budget it was generated for.  Validation happens once, when the
+schedule is lowered to the flat program IR (:attr:`Schedule.program`);
+measurement is done by executing that program on the virtual machine
+(:mod:`repro.checkpointing.simulator`, :func:`repro.engine.execute`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from ..errors import ScheduleError
 from .actions import Action, ActionKind
+
+if TYPE_CHECKING:  # pragma: no cover - layering: engine imports this package
+    from ..engine.program import CompiledProgram
 
 __all__ = ["Schedule"]
 
@@ -37,6 +43,20 @@ class Schedule:
 
     def __iter__(self):
         return iter(self.actions)
+
+    @cached_property
+    def program(self) -> "CompiledProgram":
+        """This schedule lowered to the flat program IR, compiled once.
+
+        Memoized on the object (not a dataclass field, so equality, hash
+        and repr are unchanged): every execution of one schedule reuses
+        the same program.  Compiling validates; an invalid schedule
+        raises :class:`~repro.errors.ExecutionError` here, on every
+        access, and is never cached.
+        """
+        from ..engine.program import compile_schedule
+
+        return compile_schedule(self)
 
     # -- static counts (no execution needed) -----------------------------
     def count(self, kind: ActionKind) -> int:

@@ -27,9 +27,9 @@ Conventions shared by every adapter (all homogeneous-chain semantics):
 * ``c`` is the checkpoint *slot budget* including the slot holding a
   segment's input (Revolve's convention), never a segment count;
 * ``extra_forwards`` counts pure ADVANCE steps beyond the mandatory
-  ``l − 1`` sweep — exactly what :meth:`ExecutionStats
-  <repro.checkpointing.simulator.ExecutionStats>`\\ ``.extra_forward_steps``
-  measures, so predictions and measurements are directly comparable
+  ``l − 1`` sweep — exactly what :meth:`RunStats.extra_forward_steps
+  <repro.engine.stats.RunStats.extra_forward_steps>` measures, so
+  predictions and measurements are directly comparable
   (property-tested in ``tests/test_ckpt_strategies.py``);
 * ``rho`` prices that overhead with the paper's formula
   ``1 + extra / (l·(1 + bwd_ratio))`` via :func:`rho_from_extra` — the
@@ -62,7 +62,7 @@ from .multilevel import disk_revolve_schedule
 from .revolve import extra_forwards as revolve_extra_forwards
 from .revolve import revolve_schedule, store_all_schedule
 from .schedule import Schedule
-from .simulator import ExecutionStats, simulate
+from .simulator import simulate
 from .sqrt import sqrt_memory_slots, sqrt_schedule, sqrt_segments
 from .uniform import (
     best_segments,
@@ -73,6 +73,7 @@ from .uniform import (
 
 if TYPE_CHECKING:  # pragma: no cover - layering: engine imports this package
     from ..engine.program import CompiledProgram
+    from ..engine.stats import RunStats
 
 __all__ = [
     "CheckpointStrategy",
@@ -238,7 +239,7 @@ class _ScheduleCache:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._schedules: dict[tuple, Schedule] = {}
-        self._stats: dict[tuple, ExecutionStats] = {}
+        self._stats: dict[tuple, "RunStats"] = {}
         self._programs: dict[tuple, "CompiledProgram"] = {}
 
     def _get(self, table: dict, key: tuple):
@@ -259,7 +260,7 @@ class _ScheduleCache:
         with self._lock:
             return self._schedules.setdefault(key, built)
 
-    def stats(self, key: tuple, build) -> ExecutionStats:
+    def stats(self, key: tuple, build) -> "RunStats":
         found = self._get(self._stats, key)
         if found is not None:
             return found
@@ -274,13 +275,11 @@ class _ScheduleCache:
         and also seeds the schedule table with the decompiled schedule,
         so workers sharing a store skip both the build and the compile.
         A corrupt or stale payload is silently recompiled — the store is
-        a cache, never a source of truth.
+        a cache, never a source of truth.  Either way the cached
+        schedule's own :attr:`~.schedule.Schedule.program` memo holds
+        the program, so executing it never compiles a second time.
         """
-        from ..engine.program import (
-            compile_schedule,
-            decompile,
-            program_from_payload,
-        )
+        from ..engine.program import decompile, program_from_payload
         from ..errors import ReproError
 
         with self._lock:
@@ -307,13 +306,17 @@ class _ScheduleCache:
                 if built is not None:
                     m.counter(PROGRAM_STORE_HITS).inc()
         if built is None:
-            built = compile_schedule(get_schedule())
+            schedule = get_schedule()
+            built = schedule.program
             if store is not None:
                 store.save_program(program_key_digest(key), built.to_payload())
                 m.counter(PROGRAM_STORE_WRITES).inc()
+        else:
+            schedule = decompile(built)
         with self._lock:
             built = self._programs.setdefault(key, built)
-            self._schedules.setdefault(key, decompile(built))
+            schedule = self._schedules.setdefault(key, schedule)
+        vars(schedule).setdefault("program", built)
         return built
 
     def program_info(self) -> ProgramCacheInfo:
@@ -409,17 +412,16 @@ class CheckpointStrategy:
         """
         return _CACHE.program(self.cache_key(l, c), lambda: self.schedule(l, c))
 
-    def measured(self, l: int, c: int) -> ExecutionStats:
+    def measured(self, l: int, c: int) -> "RunStats":
         """Memoized virtual-machine measurements of the cached schedule.
 
-        Runs through the compiled fast path — the stats are bit-identical
-        to interpreting the schedule (property-tested), but the program
-        is compiled once and shareable across processes.
+        The program comes through :meth:`compiled`, so it is compiled at
+        most once and shareable across processes.
         """
 
-        def build() -> ExecutionStats:
-            program = self.compiled(l, c)
-            return simulate(self.schedule(l, c), compiled=program)
+        def build() -> "RunStats":
+            self.compiled(l, c)  # seeds the cached schedule's program memo
+            return simulate(self.schedule(l, c))
 
         return _CACHE.stats(self.cache_key(l, c), build)
 

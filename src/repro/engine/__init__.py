@@ -1,6 +1,6 @@
 """The unified schedule execution engine.
 
-One virtual machine (:func:`execute`) interprets checkpoint schedules
+One virtual machine (:func:`execute`) runs checkpoint schedules
 for *every* consumer — the analytic simulator, the real-tensor executor
 and the tiered-storage model — through a pluggable
 :class:`~repro.engine.backend.Backend`:
@@ -14,12 +14,12 @@ and the tiered-storage model — through a pluggable
   :class:`~repro.edge.storage.CompressionModel` pricing compressed-band
   slots (smaller stored bytes, codec seconds per transfer).
 
-The VM owns all invariants and emits unified
+Every schedule is compiled once (:func:`compile_schedule`, the only
+validator) and the VM dispatches the resulting program, emitting unified
 :class:`~repro.engine.stats.StepStats` / :class:`~repro.engine.stats.RunStats`;
-:mod:`repro.engine.hooks` builds the standard trace observers.  The
-historical entry points :func:`repro.checkpointing.simulate` and
-:func:`repro.autodiff.run_schedule` remain as thin compatibility
-wrappers over this engine.
+:mod:`repro.engine.hooks` builds the standard trace observers.
+:func:`repro.checkpointing.simulate` and :func:`repro.autodiff.run_schedule`
+are thin drivers of this engine on the sim and tensor backends.
 """
 
 from .backend import Backend, BaseBackend

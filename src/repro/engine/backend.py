@@ -1,13 +1,15 @@
 """The pluggable backend surface of the schedule virtual machine.
 
-The VM (:func:`~repro.engine.vm.execute`) owns every structural
-invariant — cursor preconditions, slot budget and occupancy, backward
-order, completeness — and the authoritative ``slot -> activation index``
-map.  A backend owns only the *payloads* (abstract cost entries, real
-tensors, tier ledgers) and answers with the cost of each action.  The VM
-calls exactly one backend method per schedule action, always after its
-own precondition checks have passed, so backends may assume arguments
-are valid and need no defensive checks of their own.
+The compiler (:func:`~repro.engine.program.compile_schedule`) proves
+every structural invariant — cursor preconditions, slot budget and
+occupancy, backward order, completeness — and precomputes the
+authoritative ``slot -> activation index`` map before the VM
+(:func:`~repro.engine.vm.execute`) makes its first backend call.  A
+backend owns only the *payloads* (abstract cost entries, real tensors,
+tier ledgers) and answers with the cost of each action.  The VM calls
+exactly one backend method per schedule action, and only for schedules
+that compiled, so backends may assume arguments are valid and need no
+defensive checks of their own.
 """
 
 from __future__ import annotations

@@ -15,10 +15,11 @@ compiles a schedule once into a :class:`CompiledProgram`:
 * schedule-level aggregates (``executions``, ``peak_slots``,
   snapshot/restore counts) that are backend-independent.
 
-Compilation *is* validation: every structural invariant the interpreted
-VM loop enforces is checked here with byte-identical
-:class:`~repro.errors.ExecutionError` messages, so a program that
-compiles can execute with no per-action checks at all.  The decompiler
+Compilation *is* validation, and the only place it happens: every
+structural invariant of a schedule is checked here, raising
+:class:`~repro.errors.ExecutionError` with one canonical message per
+rule, so the VM (:func:`repro.engine.execute`) dispatches a program with
+no per-action checks at all.  The decompiler
 (:func:`decompile`) inverts compilation exactly —
 ``decompile(compile_schedule(s)) == s`` for every valid schedule — and
 :func:`program_from_payload` recompiles on load, so a persisted program
@@ -28,7 +29,7 @@ can never smuggle an invalid action sequence past the VM.
 analytic :class:`~repro.engine.sim.SimBackend`: byte peaks from one
 ``int64`` cumulative sum over slot deltas, costs from prefix-sum
 differences accumulated with ``np.add.accumulate`` — the same
-left-to-right float additions the interpreted loop performs, so the
+left-to-right float additions the VM's per-action loop performs, so the
 resulting :class:`~repro.engine.stats.RunStats` is bit-identical.
 """
 
@@ -244,10 +245,10 @@ class CompiledProgram:
 def compile_schedule(schedule: Schedule) -> CompiledProgram:
     """Lower ``schedule`` to the flat IR, enforcing every VM invariant.
 
-    Raises :class:`~repro.errors.ExecutionError` with exactly the
-    message the interpreted loop would produce, at the same action
-    position and in the same check order — compiled and interpreted
-    paths fail identically.
+    Raises :class:`~repro.errors.ExecutionError` at the first violating
+    action, naming its position.  Callers normally reach this through
+    the per-object memo :attr:`Schedule.program
+    <repro.checkpointing.schedule.Schedule.program>`.
     """
     l = schedule.length
     budget = schedule.slots
@@ -446,7 +447,7 @@ def program_from_payload(payload: object) -> CompiledProgram:
 def run_compiled_sim(program: CompiledProgram, backend) -> RunStats:
     """Whole-program vectorized execution on a :class:`SimBackend`.
 
-    Bit-identical to interpreting the schedule action by action:
+    Bit-identical to dispatching the program action by action:
 
     * byte peaks come from an ``int64`` cumulative sum over per-action
       slot deltas (plus the initial charge, where the cursor holds
@@ -455,10 +456,10 @@ def run_compiled_sim(program: CompiledProgram, backend) -> RunStats:
       :meth:`ChainSpec.advance_cost <repro.checkpointing.chainspec.ChainSpec.advance_cost>`
       computes, and every cost accumulator uses ``np.add.accumulate`` —
       a strictly left-to-right reduction, the same float additions in
-      the same order as the interpreted loop's ``+=``.
+      the same order as the per-action loop's ``+=``.
 
-    The backend is left in exactly the state interpretation would have
-    produced (cursor, slot table, peaks), via
+    The backend is left in exactly the state per-action dispatch would
+    have produced (cursor, slot table, peaks), via
     :meth:`~repro.engine.sim.SimBackend.adopt`.
     """
     spec = backend.spec

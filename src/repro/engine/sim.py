@@ -72,7 +72,7 @@ class SimBackend(BaseBackend):
         The vectorized compiled-program executor derives the byte
         timeline without calling the per-action methods; this installs
         its end state so the backend is indistinguishable from one that
-        interpreted the schedule action by action.
+        ran the program action by action.
         """
         self._cursor = cursor
         self._slots = dict(slots)

@@ -9,8 +9,12 @@ tiered-storage transfer costs all come out in the same shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..checkpointing.actions import ActionKind
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..checkpointing.chainspec import ChainSpec
 
 __all__ = ["StepStats", "TierStats", "CompressionStats", "RunStats"]
 
@@ -143,6 +147,34 @@ class RunStats:
     @property
     def total_forward_executions(self) -> int:
         return self.forward_steps + self.replay_steps
+
+    def extra_forward_steps(self) -> int:
+        """Advance steps beyond the mandatory ``l-1`` sweep.
+
+        The replay inside each adjoint is an executor artifact — a real
+        framework fuses that forward into the original sweep — so the
+        recomputation overhead is measured on pure ADVANCE steps against
+        the ``l-1`` advances even store-all needs.  For Revolve schedules
+        this equals :func:`repro.checkpointing.revolve.extra_forwards`.
+        """
+        return self.forward_steps - (self.length - 1)
+
+    def extra_forward_cost(self, spec: "ChainSpec") -> float:
+        """Cost-weighted version of :meth:`extra_forward_steps`."""
+        sweep = spec.total_fwd_cost - spec.fwd_cost[-1]
+        return self.forward_cost - sweep
+
+    def effective_time(self, spec: "ChainSpec") -> float:
+        """Training-step time under fused-youturn semantics.
+
+        Baseline (store-all) plus the recomputation overhead: the paper's
+        time model for Figure 1.
+        """
+        return spec.baseline_time + self.extra_forward_cost(spec)
+
+    def recompute_factor(self, spec: "ChainSpec") -> float:
+        """ρ = effective time / store-all baseline time (>= 1)."""
+        return self.effective_time(spec) / spec.baseline_time
 
     def tier(self, name: str) -> TierStats:
         """The ledger of one storage tier, by name."""

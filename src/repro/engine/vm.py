@@ -1,8 +1,11 @@
 """The schedule virtual machine: one dispatch loop for every backend.
 
 :func:`execute` runs a :class:`~repro.checkpointing.schedule.Schedule`
-against any :class:`~repro.engine.backend.Backend`, enforcing every
-structural invariant in exactly one place:
+against any :class:`~repro.engine.backend.Backend` by dispatching its
+compiled program (:attr:`Schedule.program
+<repro.checkpointing.schedule.Schedule.program>`, memoized per schedule
+object).  The compiler (:func:`~repro.engine.program.compile_schedule`)
+is the only validator: it proves every structural invariant —
 
 * ADVANCE must move the cursor strictly forward and stay within the
   chain;
@@ -12,39 +15,42 @@ structural invariant in exactly one place:
 * ADJOINT must consume backward steps in descending order with the
   cursor parked at ``x_{step-1}``;
 * at the end no backward may be pending and every step must have been
-  executed forward at least once.
+  executed forward at least once
 
-Violations raise :class:`~repro.errors.ExecutionError` with one
-canonical message per rule — the simulator and the tensor executor used
-to word these differently; both now share this loop.
+— and raises :class:`~repro.errors.ExecutionError` with one canonical
+message per rule.  It does so before ``backend.begin()``, so an invalid
+schedule fails without the backend seeing a single call.
+
+Dispatch then runs on int opcodes with no checks.  On an untraced plain
+:class:`~repro.engine.sim.SimBackend` the whole program is evaluated in
+a handful of NumPy array passes (:func:`~repro.engine.program.run_compiled_sim`);
+every other backend, and every traced run, takes the per-action loop.
 
 The optional ``on_step`` callback receives a
 :class:`~repro.engine.stats.StepStats` after every action.  When it is
-``None`` the loop skips all per-step bookkeeping beyond the invariants,
-so an untraced run pays no observation overhead.
-
-Passing ``compiled=`` (a :class:`~repro.engine.program.CompiledProgram`
-produced from the same schedule) switches to the compiled fast path:
-invariants were already proven at compile time, so execution dispatches
-on int opcodes with no checks — and on an untraced plain
-:class:`~repro.engine.sim.SimBackend` the whole program is evaluated in
-a handful of NumPy array passes.  Both compiled paths return stats that
-are bit-identical to the interpreted loop.
+``None`` the loop skips all per-step bookkeeping, so an untraced run
+pays no observation overhead.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-from ..checkpointing.actions import ActionKind
 from ..checkpointing.schedule import Schedule
 from ..errors import ExecutionError
 from ..obs.tracer import Tracer
 from .backend import Backend
+from .program import (
+    KIND_BY_OP,
+    OP_ADVANCE,
+    OP_FREE,
+    OP_RESTORE,
+    OP_SNAPSHOT,
+    CompiledProgram,
+    run_compiled_sim,
+)
+from .sim import SimBackend
 from .stats import RunStats, StepStats
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .program import CompiledProgram
 
 __all__ = ["execute"]
 
@@ -56,189 +62,34 @@ def execute(
     backend: Backend,
     *,
     on_step: StepHook | None = None,
-    compiled: "CompiledProgram | None" = None,
+    compiled: CompiledProgram | None = None,
 ) -> RunStats:
     """Run ``schedule`` on ``backend`` and return unified measurements.
 
-    Raises :class:`~repro.errors.ExecutionError` on any invariant
-    violation; the backend sees only actions whose preconditions hold.
-    When ``compiled`` is given it must have been compiled from
-    ``schedule``; execution then skips per-action invariant checks
-    (they were proven at compile time) and, for an untraced plain
-    :class:`~repro.engine.sim.SimBackend`, runs fully vectorized.
+    Raises :class:`~repro.errors.ExecutionError` on a length mismatch or
+    any invariant violation, before the backend sees any call.  The
+    program dispatched is ``compiled`` when given (it must have been
+    compiled from ``schedule``), otherwise the schedule's own memoized
+    :attr:`~repro.checkpointing.schedule.Schedule.program`.
     """
     l = backend.chain_length
     if schedule.length != l:
         raise ExecutionError(f"schedule length {schedule.length} != chain length {l}")
-    if compiled is not None:
-        if not compiled.matches(schedule):
-            raise ExecutionError(
-                f"compiled program {compiled.strategy!r} "
-                f"(l={compiled.length}, slots={compiled.slots}, "
-                f"{len(compiled)} ops) does not match schedule "
-                f"{schedule.strategy!r} (l={schedule.length}, "
-                f"slots={schedule.slots}, {len(schedule.actions)} ops)"
-            )
-        from .program import run_compiled_sim
-        from .sim import SimBackend
-
-        if on_step is None and type(backend) is SimBackend:
-            return run_compiled_sim(compiled, backend)
-        return _execute_compiled(compiled, backend, on_step)
-
-    budget = schedule.slots
-    cursor = 0  # the chain input x_0 starts in the cursor
-    slots: dict[int, int] = {}  # slot id -> activation index (authoritative)
-    pending = l  # next backward step to perform
-    forward_steps = 0
-    forward_cost = 0.0
-    replay_steps = 0
-    replay_cost = 0.0
-    backward_cost = 0.0
-    transfer_seconds = 0.0
-    executions = [0] * l
-    snapshots_taken = 0
-    restores = 0
-    peak_slots = 0
-    observe = on_step is not None
-    now = Tracer.now
-    t0 = 0.0
-
-    backend.begin()
-    for pos, act in enumerate(schedule.actions):
-        kind = act.kind
-        arg = act.arg
-        if observe:
-            t0 = now()
-        step_transfer = 0.0
-        if kind is ActionKind.ADVANCE:
-            if not cursor < arg <= l:
-                raise ExecutionError(
-                    f"action {pos}: ADVANCE to {arg} from cursor {cursor} (l={l})"
-                )
-            for i in range(cursor, arg):
-                executions[i] += 1
-            forward_steps += arg - cursor
-            forward_cost += backend.advance(cursor, arg)
-            cursor = arg
-        elif kind is ActionKind.SNAPSHOT:
-            if arg >= budget:
-                raise ExecutionError(
-                    f"action {pos}: SNAPSHOT into slot {arg} exceeds budget {budget}"
-                )
-            held = slots.get(arg)
-            if held is not None:
-                raise ExecutionError(
-                    f"action {pos}: SNAPSHOT into occupied slot {arg} "
-                    f"(holds x_{held}) without FREE"
-                )
-            slots[arg] = cursor
-            step_transfer = backend.snapshot(arg, cursor)
-            transfer_seconds += step_transfer
-            snapshots_taken += 1
-            if len(slots) > peak_slots:
-                peak_slots = len(slots)
-        elif kind is ActionKind.RESTORE:
-            held = slots.get(arg)
-            if held is None:
-                raise ExecutionError(f"action {pos}: RESTORE from empty slot {arg}")
-            cursor = held
-            step_transfer = backend.restore(arg, held)
-            transfer_seconds += step_transfer
-            restores += 1
-        elif kind is ActionKind.FREE:
-            held = slots.pop(arg, None)
-            if held is None:
-                raise ExecutionError(f"action {pos}: FREE of empty slot {arg}")
-            backend.free(arg, held)
-        elif kind is ActionKind.ADJOINT:
-            step = arg
-            if step != pending:
-                raise ExecutionError(
-                    f"action {pos}: ADJOINT({step}) but pending backward is {pending}"
-                )
-            if cursor != step - 1:
-                raise ExecutionError(
-                    f"action {pos}: ADJOINT({step}) requires cursor at {step - 1}, "
-                    f"cursor is {cursor}"
-                )
-            executions[step - 1] += 1
-            rc, bc = backend.adjoint(step)
-            replay_steps += 1
-            replay_cost += rc
-            backward_cost += bc
-            pending -= 1
-        else:  # pragma: no cover - exhaustive enum
-            raise ExecutionError(f"action {pos}: unknown kind {kind}")
-        if observe:
-            on_step(
-                StepStats(
-                    pos=pos,
-                    kind=kind,
-                    arg=arg,
-                    cursor=cursor,
-                    occupied_slots=len(slots),
-                    forward_steps=forward_steps,
-                    replay_steps=replay_steps,
-                    backwards_done=l - pending,
-                    slot_bytes=backend.slot_bytes,
-                    live_bytes=backend.live_bytes,
-                    transfer_seconds=step_transfer,
-                    started=t0,
-                )
-            )
-
-    if pending != 0:
+    if compiled is None:
+        program = schedule.program
+    elif compiled.matches(schedule):
+        program = compiled
+    else:
         raise ExecutionError(
-            f"schedule finished with backward steps {pending}..1 still pending"
+            f"compiled program {compiled.strategy!r} "
+            f"(l={compiled.length}, slots={compiled.slots}, "
+            f"{len(compiled)} ops) does not match schedule "
+            f"{schedule.strategy!r} (l={schedule.length}, "
+            f"slots={schedule.slots}, {len(schedule.actions)} ops)"
         )
-    if any(e < 1 for e in executions):
-        missing = [i + 1 for i, e in enumerate(executions) if e < 1]
-        raise ExecutionError(f"steps never executed forward: {missing}")
+    if on_step is None and type(backend) is SimBackend:
+        return run_compiled_sim(program, backend)
 
-    return RunStats(
-        strategy=schedule.strategy,
-        length=l,
-        forward_steps=forward_steps,
-        forward_cost=forward_cost,
-        replay_steps=replay_steps,
-        replay_cost=replay_cost,
-        backward_cost=backward_cost,
-        executions=tuple(executions),
-        peak_slot_bytes=backend.peak_slot_bytes,
-        peak_bytes=backend.peak_bytes,
-        peak_slots=peak_slots,
-        snapshots_taken=snapshots_taken,
-        restores=restores,
-        transfer_seconds=transfer_seconds,
-        tiers=backend.tier_stats(),
-        compression=backend.compression_stats(),
-    )
-
-
-def _execute_compiled(
-    program: "CompiledProgram",
-    backend: Backend,
-    on_step: StepHook | None,
-) -> RunStats:
-    """Checkless int-opcode dispatch for any backend / traced run.
-
-    The compiler proved every invariant and precomputed each action's
-    operand (``aux``) and post-state, so this loop only performs the
-    backend calls — in exactly the order and with exactly the arguments
-    the interpreted loop would use, keeping float accumulation and
-    backend state bit-identical.
-    """
-    from .program import (
-        KIND_BY_OP,
-        OP_ADJOINT,
-        OP_ADVANCE,
-        OP_FREE,
-        OP_RESTORE,
-        OP_SNAPSHOT,
-    )
-
-    l = program.length
     ops = program.ops_list
     args = program.args_list
     aux = program.aux_list

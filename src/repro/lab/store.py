@@ -11,8 +11,9 @@ Payload files carry an integrity hash of their canonical JSON; a file
 that is unreadable, malformed or fails that check raises the typed
 :class:`~repro.errors.ArtifactError` so callers can distinguish
 *corruption* (recompute) from *absence* (compute).  All writes go
-through a temp file + ``os.replace`` (the ``resilience.snapshot``
-pattern) so a crash can never leave a half-written artifact behind.
+through a uniquely named temp file + ``os.replace`` so a crash can never
+leave a half-written artifact behind, and concurrent writers of one file
+never share a temp file: the last ``os.replace`` wins.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import uuid
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -33,9 +35,13 @@ PAYLOAD_VERSION = 1
 
 def _atomic_write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class ArtifactStore:

@@ -1,7 +1,7 @@
 """Named counters, gauges and histograms with one process-wide registry.
 
 The codebase used to scatter its measurements across ad-hoc containers
-(``MemoryMeter`` fields, ``ExecutionStats``, the schedule cache's
+(``MemoryMeter`` fields, per-run stats records, the schedule cache's
 hit/miss integers).  :class:`Metrics` gives them one home:
 
 * instruments are created on first use (``metrics.counter("x").inc()``)

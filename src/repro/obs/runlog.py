@@ -69,7 +69,7 @@ class RunlogTracer(Tracer):
 
     Instrumented code gates its high-frequency recording on
     ``tracer.enabled`` (one ``record()`` per schedule action, one event
-    per abstract sim step, the interpreted fallback of the compiled sim
+    per abstract sim step, the per-action fallback of the vectorized sim
     path).  ``RunlogTracer`` reports ``enabled = False`` — those
     branches stay free — while still buffering every coarse
     ``with span(...)`` block and ``event()`` call, which is exactly the

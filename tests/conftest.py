@@ -14,6 +14,43 @@ from repro.autodiff import (
     SequentialNet,
 )
 from repro.autodiff.data import image_blobs
+from repro.engine import SimBackend
+
+
+class RecordingBackend(SimBackend):
+    """A :class:`SimBackend` that logs every call the VM makes on it.
+
+    Being a subclass, it always takes the VM's per-action dispatch loop
+    (the vectorized path serves plain ``SimBackend`` only).
+    """
+
+    def __init__(self, spec) -> None:
+        super().__init__(spec)
+        self.calls: list[tuple] = []
+
+    def begin(self) -> None:
+        self.calls.append(("begin",))
+        super().begin()
+
+    def advance(self, start: int, stop: int) -> float:
+        self.calls.append(("advance", start, stop))
+        return super().advance(start, stop)
+
+    def snapshot(self, slot: int, index: int) -> float:
+        self.calls.append(("snapshot", slot, index))
+        return super().snapshot(slot, index)
+
+    def restore(self, slot: int, index: int) -> float:
+        self.calls.append(("restore", slot, index))
+        return super().restore(slot, index)
+
+    def free(self, slot: int, index: int) -> float:
+        self.calls.append(("free", slot, index))
+        return super().free(slot, index)
+
+    def adjoint(self, step: int) -> tuple[float, float]:
+        self.calls.append(("adjoint", step))
+        return super().adjoint(step)
 
 
 @pytest.fixture

@@ -185,19 +185,6 @@ class TestScheduleAndProgram:
             assert prog.paged
             assert any(t == 1 for t, _, _, _ in prog.tier_usage)
 
-    @pytest.mark.parametrize("l,c", ((9, 2), (24, 3)))
-    def test_interpreted_vs_compiled_byte_identical(self, l, c):
-        from repro.engine.program import compile_schedule
-        from repro.engine.sim import SimBackend
-        from repro.engine.tiered import TieredBackend
-        from repro.engine.vm import execute
-
-        spec = unit_spec(l)
-        sched = joint_schedule(spec, c, UnitCostObjective(spec, 1.0, 1.0))
-        prog = compile_schedule(sched)
-        for make in (lambda: SimBackend(spec), lambda: TieredBackend(spec, disk=SD_CARD)):
-            assert execute(sched, make()) == execute(sched, make(), compiled=prog)
-
 
 class TestFigure1Dominance:
     """The acceptance claim: on every Figure-1 panel and both storage

@@ -2,13 +2,11 @@
 
 The compiler must be a lossless, validation-complete lowering: compile →
 decompile reproduces the exact Schedule for every strategy family, the
-compiled paths (vectorized sim, generic dispatch, traced) produce
-bit-identical RunStats/TierStats/StepStats to the interpreted loop, and
-every invariant violation raises the same ExecutionError text at
-compile time that the interpreter raises at run time.
+vectorized sim path is bit-identical to per-action dispatch of the same
+program, backend tier ledgers agree with the program's static tier
+usage, every invariant violation fails in the compiler before the
+backend sees a call, and each schedule object compiles at most once.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -24,7 +22,7 @@ from repro.checkpointing import (
     slots_for_rho,
     slots_for_rhos,
 )
-from repro.checkpointing.actions import Action, ActionKind
+from repro.checkpointing.actions import Action, ActionKind, tier_name
 from repro.checkpointing.strategies import available_strategies, get_strategy
 from repro.edge.storage import SD_CARD
 from repro.engine import (
@@ -38,7 +36,13 @@ from repro.engine import (
 from repro.errors import ExecutionError, ScheduleError
 from repro.lab import ArtifactStore
 
+from .conftest import RecordingBackend
+
 FAMILIES = available_strategies()
+
+
+def _noop(step) -> None:
+    """An ``on_step`` hook that forces the VM's per-action loop."""
 
 
 def _random_spec(l: int, seed: int) -> ChainSpec:
@@ -105,51 +109,41 @@ class TestDifferential:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_sim_stats_bit_identical(self, family, l, slots, seed):
+        """Vectorized ``run_compiled_sim`` == per-action SimBackend calls."""
         strat = get_strategy(family)
         assume(strat.feasible(l, slots))
         sch = strat.build_schedule(l, slots)
-        program = compile_schedule(sch)
         for spec in (ChainSpec.homogeneous(l), _random_spec(l, seed)):
-            interpreted = execute(sch, SimBackend(spec))
-            compiled = execute(sch, SimBackend(spec), compiled=program)
-            assert compiled == interpreted
+            vectorized = execute(sch, SimBackend(spec))
+            per_action = execute(sch, SimBackend(spec), on_step=_noop)
+            assert vectorized == per_action
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_tier_stats_bit_identical(self, family):
+        """The backend's tier ledger matches the program's static usage."""
         strat = get_strategy(family)
         l, slots = 13, 3
         if not strat.feasible(l, slots):
             l, slots = 13, 12
         sch = strat.build_schedule(l, slots)
-        program = compile_schedule(sch)
         spec = ChainSpec.homogeneous(l, act_bytes=4096)
-        interpreted = execute(sch, TieredBackend(spec, disk=SD_CARD))
-        compiled = execute(
-            sch, TieredBackend(spec, disk=SD_CARD), compiled=program
-        )
-        assert compiled == interpreted
-        assert compiled.tiers == interpreted.tiers
+        run = execute(sch, TieredBackend(spec, disk=SD_CARD))
+        ledger = {t.name: (t.writes, t.reads, t.peak_slots) for t in run.tiers}
+        for tier, snaps, reads, peak in sch.program.tier_usage:
+            assert ledger.pop(tier_name(tier)) == (snaps, reads, peak)
+        assert all(row == (0, 0, 0) for row in ledger.values())
 
     def test_traced_step_stats_identical_shapes(self):
         sch = get_strategy("revolve").build_schedule(13, 3)
-        program = compile_schedule(sch)
+        program = sch.program
         spec = ChainSpec.homogeneous(13)
-        interp_steps, comp_steps = [], []
-        a = execute(sch, SimBackend(spec), on_step=interp_steps.append)
-        b = execute(
-            sch, SimBackend(spec), on_step=comp_steps.append, compiled=program
-        )
-        assert a == b
-        assert len(interp_steps) == len(comp_steps) == len(sch.actions)
-        for x, y in zip(interp_steps, comp_steps):
-            dx, dy = dataclasses.asdict(x), dataclasses.asdict(y)
-            dx.pop("started"), dy.pop("started")
-            assert dx == dy
-
-    def test_simulate_compiled_kwarg_matches(self):
-        sch = get_strategy("sqrt").build_schedule(16, 8)
-        program = compile_schedule(sch)
-        assert simulate(sch, compiled=program) == simulate(sch)
+        steps = []
+        traced = execute(sch, SimBackend(spec), on_step=steps.append)
+        assert traced == execute(sch, SimBackend(spec))
+        assert [s.pos for s in steps] == list(range(len(sch.actions)))
+        assert [s.cursor for s in steps] == program.cursor_after.tolist()
+        assert [s.occupied_slots for s in steps] == program.occupied_after.tolist()
+        assert steps[-1].backwards_done == 13
 
     def test_mismatched_program_is_rejected(self):
         sch = get_strategy("revolve").build_schedule(8, 3)
@@ -170,7 +164,7 @@ _J = ActionKind.ADJOINT
 
 
 class TestErrorParity:
-    """compile_schedule must fail exactly like the interpreted loop."""
+    """``execute`` fails with the compiler's message, before any backend call."""
 
     BAD = [
         _sched(3, 1, Action(_A, 2), Action(_A, 1)),  # backwards advance
@@ -186,11 +180,60 @@ class TestErrorParity:
 
     @pytest.mark.parametrize("bad", BAD)
     def test_same_message_compiled_and_interpreted(self, bad):
-        with pytest.raises(ExecutionError) as interpreted:
-            execute(bad, SimBackend(ChainSpec.homogeneous(bad.length)))
+        backend = RecordingBackend(ChainSpec.homogeneous(bad.length))
+        with pytest.raises(ExecutionError) as executed:
+            execute(bad, backend)
         with pytest.raises(ExecutionError) as compiled:
             compile_schedule(bad)
-        assert str(compiled.value) == str(interpreted.value)
+        assert str(compiled.value) == str(executed.value)
+        assert backend.calls == []
+
+
+@pytest.mark.usefixtures("fresh_schedule_cache")
+class TestCompileOnce:
+    """Each Schedule object is compiled at most once per process."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        import repro.engine.program as program_module
+
+        calls = []
+        original = program_module.compile_schedule
+
+        def counting(schedule):
+            calls.append(schedule)
+            return original(schedule)
+
+        monkeypatch.setattr(program_module, "compile_schedule", counting)
+        return calls
+
+    def test_repeated_runs_compile_once(self, compiles):
+        from repro.autodiff import DenseLayer, SequentialNet, run_schedule
+
+        rng = np.random.default_rng(0)
+        net = SequentialNet([DenseLayer(4, 4, rng, name=f"d{i}") for i in range(6)])
+        x, y = rng.normal(size=(3, 4)), rng.integers(0, 4, size=3)
+        sch = get_strategy("revolve").build_schedule(6, 2)
+        for _ in range(3):
+            simulate(sch)
+            run_schedule(net, sch, x, y)
+            execute(sch, TieredBackend(ChainSpec.homogeneous(6)))
+        assert compiles == [sch]
+
+    def test_strategy_compiled_then_execute_compiles_once(self, compiles):
+        strat = get_strategy("revolve")
+        program = strat.compiled(13, 3)
+        execute(strat.schedule(13, 3), TieredBackend(ChainSpec.homogeneous(13)))
+        strat.measured(13, 3)
+        assert len(compiles) == 1
+        assert strat.schedule(13, 3).program is program
+
+    def test_invalid_schedule_is_not_memoized(self, compiles):
+        bad = _sched(3, 1, Action(_R, 0))
+        for _ in range(2):
+            with pytest.raises(ExecutionError):
+                simulate(bad)
+        assert len(compiles) == 2
 
 
 @pytest.mark.usefixtures("fresh_schedule_cache")

@@ -84,6 +84,41 @@ class TestStore:
         store.write_manifest("a", {"k": 1})
         assert not list(tmp_path.rglob("*.tmp"))
 
+    def test_concurrent_writers_of_one_file(self, tmp_path):
+        """Threads saving one program digest never lose a temp file."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        store = lab.ArtifactStore(tmp_path)
+        payload = {"version": 1, "args": list(range(64))}
+
+        def save_many(_):
+            for _ in range(200):
+                store.save_program("d" * 64, payload)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(save_many, range(4), timeout=60))  # re-raises writer errors
+        finally:
+            sys.setswitchinterval(interval)
+        assert store.load_program("d" * 64) == payload
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import os
+
+        store = lab.ArtifactStore(tmp_path)
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        with pytest.raises(OSError, match="disk full"):
+            store.write_artifact("a.txt", "x\n")
+        assert not list(tmp_path.rglob("*.tmp"))
+
 
 class TestCacheSemantics:
     def test_second_run_hits(self, tmp_path, spec_pair):

@@ -5,17 +5,22 @@ Strategy: take a known-correct Revolve schedule, mutate it (drop an
 action, duplicate one, swap two, retarget a slot), then require that
 either (a) the simulator/executor rejects it, or (b) — if the mutation
 happened to leave a valid schedule — the executor's gradients are still
-bit-identical to store-all.  There is no third outcome.
+bit-identical to store-all.  There is no third outcome.  A rejection
+always comes from the compiler, before the backend has seen any call.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.autodiff import DenseLayer, SequentialNet, run_schedule
-from repro.checkpointing import Schedule, revolve_schedule, simulate
+from repro.checkpointing import ChainSpec, Schedule, revolve_schedule, simulate
 from repro.checkpointing.actions import Action, ActionKind
+from repro.checkpointing.strategies import available_strategies, get_strategy
+from repro.engine import execute
 from repro.errors import ExecutionError, ReproError, ScheduleError
+
+from .conftest import RecordingBackend
 
 
 def mutate(actions: tuple[Action, ...], kind: int, pos: int, slot: int) -> tuple[Action, ...]:
@@ -94,6 +99,37 @@ def test_executor_mutation_soundness(l, c, kind, pos, slot):
     assert res.loss == loss_ref
     for k in grads_ref:
         assert np.array_equal(res.grads[k], grads_ref[k])
+
+
+@given(
+    family=st.sampled_from(available_strategies()),
+    l=st.integers(2, 10),
+    c=st.integers(1, 6),
+    kind=st.integers(0, 3),
+    pos=st.integers(0, 400),
+    slot=st.integers(0, 5),
+)
+@settings(max_examples=200, deadline=None)
+def test_invalid_mutants_fail_before_any_backend_call(family, l, c, kind, pos, slot):
+    """Every family's mutants: rejected with an empty call log, or valid."""
+    strat = get_strategy(family)
+    assume(strat.feasible(l, c))
+    good = strat.build_schedule(l, c)
+    mutated = Schedule(
+        strategy="mutated",
+        length=l,
+        slots=good.slots,
+        actions=mutate(good.actions, kind, pos, slot),
+    )
+    backend = RecordingBackend(ChainSpec.homogeneous(l))
+    try:
+        run = execute(mutated, backend)
+    except ExecutionError:
+        assert backend.calls == []
+        return
+    assert run.replay_steps == l
+    assert all(e >= 1 for e in run.executions)
+    assert len(backend.calls) == 1 + len(mutated.actions)
 
 
 def test_truncated_schedule_always_rejected():
