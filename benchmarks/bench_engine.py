@@ -17,9 +17,6 @@ per-action loop, and records the cold (compile-included) cost.
 
 from __future__ import annotations
 
-import statistics
-import timeit
-
 import numpy as np
 
 from repro.autodiff import DenseLayer, ReLULayer, SequentialNet, run_schedule
@@ -31,6 +28,8 @@ from repro.checkpointing.actions import ActionKind
 from repro.engine import SimBackend, compile_schedule, execute
 from repro.errors import ExecutionError
 from repro.obs import get_tracer
+
+from paired import paired_ratio
 
 DEPTH = 16
 WIDTH = 192
@@ -180,28 +179,6 @@ def build():
     return net, x, y
 
 
-def paired_ratio(fn_ref, fn_new) -> tuple[float, float, float]:
-    """Median of per-round ``new/ref`` ratios, plus min per-call times.
-
-    Each round times both candidates back to back (order alternating),
-    so multiplicative noise — CPU-frequency drift, noisy neighbours —
-    hits the pair together and cancels in the ratio; the median across
-    rounds discards the spikes that straddle a pair anyway.
-    """
-    ref_t, new_t = timeit.Timer(fn_ref), timeit.Timer(fn_new)
-    ratios = []
-    best = [float("inf"), float("inf")]
-    for round_no in range(REPEATS):
-        pair = (ref_t, new_t) if round_no % 2 == 0 else (new_t, ref_t)
-        first = pair[0].timeit(number=NUMBER) / NUMBER
-        second = pair[1].timeit(number=NUMBER) / NUMBER
-        t_ref, t_new = (first, second) if round_no % 2 == 0 else (second, first)
-        ratios.append(t_new / t_ref)
-        best[0] = min(best[0], t_ref)
-        best[1] = min(best[1], t_new)
-    return statistics.median(ratios), best[0], best[1]
-
-
 def test_vm_executor_within_five_percent(outdir):
     net, x, y = build()
     sch = revolve_schedule(DEPTH, SLOTS)
@@ -220,6 +197,8 @@ def test_vm_executor_within_five_percent(outdir):
     ratio, t_ref, t_vm = paired_ratio(
         lambda: reference_run_schedule(net, sch, x, y),
         lambda: run_schedule(net, sch, x, y),
+        repeats=REPEATS,
+        number=NUMBER,
     )
 
     report = (
@@ -252,10 +231,14 @@ def test_compiled_sim_speedup(outdir, bench_json):
     ratio_warm, t_per_action, t_warm = paired_ratio(
         lambda: execute(sch, PerActionSim(spec), compiled=program),
         lambda: execute(sch, SimBackend(spec), compiled=program),
+        repeats=REPEATS,
+        number=NUMBER,
     )
     ratio_cold, _, t_cold = paired_ratio(
         lambda: execute(sch, PerActionSim(spec), compiled=program),
         lambda: execute(sch, SimBackend(spec), compiled=compile_schedule(sch)),
+        repeats=REPEATS,
+        number=NUMBER,
     )
     speedup_warm = 1.0 / ratio_warm
     speedup_cold = 1.0 / ratio_cold

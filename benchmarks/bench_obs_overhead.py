@@ -15,7 +15,6 @@ allowed to cost).  Results also land in ``out/BENCH_obs.json``.
 
 from __future__ import annotations
 
-import statistics
 import timeit
 
 import numpy as np
@@ -28,6 +27,8 @@ from repro.checkpointing import revolve_schedule
 from repro.checkpointing.actions import ActionKind
 from repro.errors import ExecutionError
 from repro.obs import RunlogTracer, set_tracer, tracing
+
+from paired import paired_ratio
 
 DEPTH = 16
 WIDTH = 192
@@ -151,28 +152,6 @@ def best_of(fn) -> float:
     return min(timeit.repeat(fn, number=NUMBER, repeat=REPEATS)) / NUMBER
 
 
-def paired_ratio(fn_ref, fn_new) -> tuple[float, float, float]:
-    """Median of per-round ``new/ref`` ratios, plus min per-call times.
-
-    Each round times both candidates back to back (order alternating),
-    so multiplicative noise — CPU-frequency drift, noisy neighbours —
-    hits the pair together and cancels in the ratio; the median across
-    rounds discards the spikes that straddle a pair anyway.
-    """
-    ref_t, new_t = timeit.Timer(fn_ref), timeit.Timer(fn_new)
-    ratios = []
-    best = [float("inf"), float("inf")]
-    for round_no in range(REPEATS):
-        pair = (ref_t, new_t) if round_no % 2 == 0 else (new_t, ref_t)
-        first = pair[0].timeit(number=NUMBER) / NUMBER
-        second = pair[1].timeit(number=NUMBER) / NUMBER
-        t_ref, t_new = (first, second) if round_no % 2 == 0 else (second, first)
-        ratios.append(t_new / t_ref)
-        best[0] = min(best[0], t_ref)
-        best[1] = min(best[1], t_new)
-    return statistics.median(ratios), best[0], best[1]
-
-
 def test_disabled_overhead_under_five_percent(outdir, bench_json):
     net, x, y = build()
     sch = revolve_schedule(DEPTH, SLOTS)
@@ -188,6 +167,8 @@ def test_disabled_overhead_under_five_percent(outdir, bench_json):
     ratio, t_ref, t_disabled = paired_ratio(
         lambda: reference_run_schedule(net, sch, x, y),
         lambda: run_schedule(net, sch, x, y),
+        repeats=REPEATS,
+        number=NUMBER,
     )
 
     # The --telemetry tracer: coarse spans buffered, hot paths still on
@@ -197,6 +178,8 @@ def test_disabled_overhead_under_five_percent(outdir, bench_json):
         ratio_telemetry, _, t_telemetry = paired_ratio(
             lambda: reference_run_schedule(net, sch, x, y),
             lambda: run_schedule(net, sch, x, y),
+            repeats=REPEATS,
+            number=NUMBER,
         )
     finally:
         set_tracer(previous)

@@ -5,6 +5,8 @@ Two things are pinned here and gated in CI via ``BENCH_planner.json``:
 * **plan time** — the joint DP must stay interactive for block chains
   (`l ≤ 60`), both on uniform chains (closed-form Revolve inner) and on
   heterogeneous chains (the `SlotSegmentDP` inner, the `O(l³·c)` path);
+  the segment-DP core itself is timed directly too, as the `hetero` and
+  `budget` families run it (`hetero_dp_l60`, `budget_dp_l60`);
 * **dominance margins** — executing the planned schedules on a tiered
   backend, `joint_time`'s wall seconds and `joint_energy`'s joules must
   weakly dominate both pure families (revolve, disk_revolve) on the SD
@@ -25,6 +27,8 @@ from repro.checkpointing import (
     joint_cost,
     joint_frontier,
     joint_plan,
+    opt_forwards_budget,
+    opt_forwards_hetero,
 )
 from repro.edge.storage import EMMC, SD_CARD
 from repro.experiments.figure1 import _joint_spec
@@ -47,11 +51,12 @@ def _hetero_spec(l: int) -> ChainSpec:
     return ChainSpec(name=f"hetero{l}", act_bytes=acts, fwd_cost=fwd, bwd_cost=fwd)
 
 
+def _median_seconds(fn) -> float:
+    return statistics.median(timeit.repeat(fn, repeat=REPEATS, number=1))
+
+
 def _time_plan(spec: ChainSpec, objective) -> float:
-    runs = timeit.repeat(
-        lambda: joint_plan(spec, C, objective), repeat=REPEATS, number=1
-    )
-    return statistics.median(runs)
+    return _median_seconds(lambda: joint_plan(spec, C, objective))
 
 
 def test_joint_plan_time_and_dominance(outdir, bench_json):
@@ -66,6 +71,15 @@ def test_joint_plan_time_and_dominance(outdir, bench_json):
         plan_seconds[f"hetero_l{l}"] = _time_plan(
             spec, TimeObjective(spec, disk=SD_CARD, unit_seconds=1e-9)
         )
+    # The segment-DP core on its own, cold each call: slot budget C, and
+    # a byte budget of C of the largest activations.
+    spec = _hetero_spec(max(HETERO_L))
+    plan_seconds[f"hetero_dp_l{spec.length}"] = _median_seconds(
+        lambda: opt_forwards_hetero(spec, C)
+    )
+    plan_seconds[f"budget_dp_l{spec.length}"] = _median_seconds(
+        lambda: opt_forwards_budget(spec, C * max(spec.act_bytes))
+    )
     for key, secs in plan_seconds.items():
         assert secs < MAX_PLAN_SECONDS, f"joint plan {key} took {secs:.2f}s"
 

@@ -14,7 +14,7 @@ programs over segments ``[i, j)`` of a :class:`~.chainspec.ChainSpec`:
   is in bytes; sizes are conservatively quantized to ``levels`` integer
   units (ceiling), so a reported plan never exceeds the byte budget.
 
-Both are thin parameterizations of one memoized core,
+Both are thin parameterizations of one tabulated core,
 :class:`SegmentDP`, over the recurrence
 
     solve(i, j, b) = min( quad(i, j),
@@ -28,9 +28,17 @@ rematerialization+paging planner (:mod:`repro.checkpointing.joint`)
 instantiates the same core with objective-priced step costs for its
 in-RAM segment reversals.
 
+The core stores row tables, not a per-state memo: row ``(i, b)`` holds
+``solve(i, j, b)`` for every ``j``, filled bottom-up in ``j``, and is
+built the first time a query reaches it.  A row costs O(l²) once its
+right-child rows exist, and ``quad(i, j)`` is summed once per segment
+(O(l³) in all), so a slot budget ``c`` costs O(l³·c) time and O(l²·c)
+memory, and a unit budget of ``B`` free units at most O(l³·B) / O(l²·B)
+— only the ``(i, b)`` rows actually reached are built.
+
 Both return optimal extra-forward cost and can materialize executable
-schedules.  Complexity is O(l³·c) / O(l³·levels); intended for block
-chains (l ≲ 60), not the homogenized 152-step chains (use Revolve there).
+schedules.  Intended for block chains (l ≲ 60), not the homogenized
+152-step chains (use Revolve there).
 """
 
 from __future__ import annotations
@@ -52,8 +60,6 @@ __all__ = [
     "budget_schedule",
 ]
 
-_INF = float("inf")
-
 
 # ---------------------------------------------------------------------------
 # The parameterized segment-DP core
@@ -61,13 +67,20 @@ _INF = float("inf")
 
 
 class SegmentDP:
-    """Memoized segment DP over per-step forward costs.
+    """Segment DP over per-step forward costs, tabulated in lazy rows.
 
     Subclasses define the capacity model via :meth:`free_units` (how many
     snapshot units a budget leaves free inside a segment) and
     :meth:`snapshot_units` (what parking ``x_m`` charges).  ``solve``
     returns the optimal pure-advance cost and the argmin first checkpoint;
     :meth:`emit` materializes the corresponding actions.
+
+    The table is stored as *rows* keyed by ``(i, budget)``: one row holds
+    the cost and argmin of every segment ``[i, j)``, ``j = 0..l``, and is
+    built the first time a query reaches it.  A row needs only its
+    right-child rows ``(m, budget − snapshot_units(m))``, so exactly the
+    ``(i, budget)`` pairs a top-level query reaches are ever built — the
+    sparsity that matters for byte budgets.
     """
 
     def __init__(self, fwd_cost: tuple[float, ...]) -> None:
@@ -77,7 +90,8 @@ class SegmentDP:
         self.prefix = [0.0]
         for ucost in fwd_cost:
             self.prefix.append(self.prefix[-1] + ucost)
-        self._memo: dict[tuple[int, int, int], tuple[float, int]] = {}
+        self._quad: dict[int, list[float]] = {}
+        self._rows: dict[tuple[int, int], tuple[list[float], list[int]]] = {}
 
     # -- capacity model (the only per-family hooks) ------------------------
     def free_units(self, budget: int) -> int:
@@ -98,21 +112,67 @@ class SegmentDP:
         return True
 
     # -- shared scaffolding ------------------------------------------------
-    def adv(self, i: int, j: int) -> float:
-        """Cost of advancing from x_i to x_j."""
-        return self.prefix[j] - self.prefix[i]
+    def _quad_row(self, i: int) -> list[float]:
+        """``row[j]`` = pure-advance cost of the one-slot reversal of ``[i, j)``.
 
-    def quad(self, i: int, j: int) -> float:
-        """Pure-advance cost of the one-slot reversal of [i, j)."""
-        # For b = j..i+1 we advance i -> b-1: sum_{b} (prefix[b-1]-prefix[i])
-        total = 0.0
-        for b in range(j, i, -1):
-            total += self.adv(i, b - 1)
-        return total
+        For ``b = j..i+1`` the reversal advances ``i -> b-1``; the terms
+        are summed in that (descending) order, once per segment.
+        """
+        row = self._quad.get(i)
+        if row is None:
+            base = self.prefix[i]
+            steps = [p - base for p in self.prefix[i : self.l]]
+            row = [0.0] * (i + 1)
+            for j in range(i + 1, self.l + 1):
+                total = 0.0
+                for step in reversed(steps[: j - i]):
+                    total += step
+                row.append(total)
+            self._quad[i] = row
+        return row
 
     def child_budget(self, budget: int, m: int) -> int:
         """Budget left for the right part after parking ``x_m``."""
         return budget - self.snapshot_units(m)
+
+    def row(self, i: int, budget: int) -> tuple[list[float], list[int]]:
+        """(cost, argmin) of every segment ``[i, j)`` under ``budget``.
+
+        ``cost[j]`` minimizes ``quad(i, j)`` against every split
+        ``adv(i, m) + cost(m, j, budget − units(m)) + cost(i, m, budget)``;
+        ``argmin[j]`` is the first checkpoint (0 = no split).  Splits are
+        visited in ascending ``m`` and one only wins on a strict
+        improvement beyond 1e-12, so ties keep the smallest ``m``.
+        """
+        rows = self._rows
+        hit = rows.get((i, budget))
+        if hit is not None:
+            return hit
+        n = self.l + 1
+        quad = self._quad_row(i)
+        if not self.can_split(budget):
+            hit = rows[(i, budget)] = (quad, [0] * n)
+            return hit
+        cost = list(quad)
+        argmin = [0] * n
+        avail = self.free_units(budget)
+        prefix = self.prefix
+        # m-outer: cost[m] is final once every smaller split was tried,
+        # and each cost[j] still sees its candidates in ascending m.
+        for m in range(i + 1, n - 1):
+            units = self.snapshot_units(m)
+            if units > avail:
+                continue
+            right = (rows.get((m, budget - units)) or self.row(m, budget - units))[0]
+            adv = prefix[m] - prefix[i]
+            left = cost[m]
+            for j in range(m + 1, n):
+                val = adv + right[j] + left
+                if val < cost[j] - 1e-12:
+                    cost[j] = val
+                    argmin[j] = m
+        hit = rows[(i, budget)] = (cost, argmin)
+        return hit
 
     def solve(self, i: int, j: int, budget: int) -> tuple[float, int]:
         """(min advance cost, best first-checkpoint m; 0 = no split).
@@ -122,27 +182,8 @@ class SegmentDP:
         """
         if j - i <= 1:
             return 0.0, 0
-        if not self.can_split(budget):
-            return self.quad(i, j), 0
-        key = (i, j, budget)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        avail = self.free_units(budget)
-        best, best_m = self.quad(i, j), 0
-        for m in range(i + 1, j):
-            units = self.snapshot_units(m)
-            if units > avail:
-                continue
-            val = (
-                self.adv(i, m)
-                + self.solve(m, j, budget - units)[0]
-                + self.solve(i, m, budget)[0]
-            )
-            if val < best - 1e-12:
-                best, best_m = val, m
-        self._memo[key] = (best, best_m)
-        return best, best_m
+        cost, argmin = self.row(i, budget)
+        return cost[j], argmin[j]
 
     def emit(
         self,

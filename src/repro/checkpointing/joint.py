@@ -35,6 +35,16 @@ the joint optimum weakly dominates both *by construction* — and beats
 them strictly whenever real :class:`~repro.edge.storage.StorageProfile`
 prices diverge from the abstract unit costs the pure families assume.
 
+Before the ``b``/``t``/``m``/``u`` loops run, :func:`_solve` tabulates
+every price they read: ``W_u(m)`` and ``R_t(b)`` per tier, the advance
+costs ``adv(b, ·)`` per base, and ``inner(b, ·)`` — one vector indexed
+by segment length for the Revolve closed form (``l`` closed-form
+evaluations in all), or the inner
+:class:`~repro.checkpointing.dynprog.SegmentDP` row ``(b, c)``.  The
+loops themselves are then O(l²·T²) table reads for ``T`` paged tier
+codes, on top of the inner solver's O(l³·c) rows on heterogeneous
+chains.
+
 Objectives
 ----------
 
@@ -101,7 +111,6 @@ __all__ = [
     "joint_schedule",
 ]
 
-_INF = float("inf")
 _TOL = 1e-12
 
 #: Bit flagging a DP tier code as "store compressed on that tier".  The
@@ -409,12 +418,15 @@ class JointPlan:
 class _InnerRevolve:
     """Closed-form inner solver for uniform per-step objective cost."""
 
-    def __init__(self, c: int, unit: float) -> None:
+    def __init__(self, c: int, unit: float, l: int) -> None:
         self.c = c
         self.unit = unit
+        # The closed form depends only on the segment length.
+        self._by_length = [0.0] + [opt_forwards(k, c) * unit for k in range(1, l + 1)]
 
-    def cost(self, i: int, j: int) -> float:
-        return opt_forwards(j - i, self.c) * self.unit if j > i else 0.0
+    def costs(self, i: int) -> list[float]:
+        """``costs(i)[k]`` = optimal in-RAM reversal cost of ``[i, i+k)``."""
+        return self._by_length
 
     def emit(self, actions: list[Action], i: int, j: int, split_for: _SplitFn) -> None:
         seg_len = j - i
@@ -430,8 +442,9 @@ class _InnerSegmentDP:
         self.dp = SlotSegmentDP(costs)
         self.c = c
 
-    def cost(self, i: int, j: int) -> float:
-        return self.dp.solve(i, j, self.c)[0] if j > i else 0.0
+    def costs(self, i: int) -> list[float]:
+        """``costs(i)[k]`` = optimal in-RAM reversal cost of ``[i, i+k)``."""
+        return self.dp.row(i, self.c)[0][i:]
 
     def emit(self, actions: list[Action], i: int, j: int, split_for: None) -> None:
         pool = list(range(1, self.c))
@@ -441,7 +454,7 @@ class _InnerSegmentDP:
 def _make_inner(spec: ChainSpec, c: int, objective: JointObjective):
     unit = objective.uniform_step
     if unit is not None:
-        return _InnerRevolve(min(c, max(1, spec.length - 1)), unit)
+        return _InnerRevolve(min(c, max(1, spec.length - 1)), unit, spec.length)
     costs = tuple(objective.step_cost(k) for k in range(1, spec.length + 1))
     return _InnerSegmentDP(costs, c)
 
@@ -451,29 +464,35 @@ def _solve(spec: ChainSpec, c: int, objective: JointObjective):
     l = spec.length
     inner = _make_inner(spec, c, objective)
     tiers = objective.paged_tiers
-    # table[(b, t)] = (cost of reversing [b, l) with x_b on tier t,
-    #                  first further split m or 0, its tier or -1)
-    table: dict[tuple[int, int], tuple[float, int, int]] = {}
-    suffix_inner = [inner.cost(b, l) for b in range(l + 1)]
+    # Price tables hoisted out of the b/t/m/u loops: W_u(m) and R_t(b).
+    write = {u: [objective.write_cost(u, m) for m in range(l)] for u in tiers}
+    read = {t: [objective.read_cost(t, b) for b in range(l)] for t in tiers}
+    # cost[t][b] = cost of reversing [b, l) with x_b on tier t;
+    # choice[t][b] = (first further split m or 0, its tier or -1)
+    cost = {t: [0.0] * l for t in tiers}
+    choice: dict[int, list[tuple[int, int]]] = {t: [(0, -1)] * l for t in tiers}
+    priced = [(u, write[u], cost[u]) for u in tiers]
+    prefix = objective._prefix
     for b in range(l - 1, -1, -1):
+        inner_b = inner.costs(b)
+        # adv_b[k] = advance_cost(b, b + k), from the same prefix sums
+        start = prefix[b]
+        adv_b = [p - start for p in prefix[b:l]]
         for t in tiers:
-            best, best_m, best_u = suffix_inner[b], 0, -1
-            read_b = objective.read_cost(t, b)
+            best, best_m, best_u = inner_b[l - b], 0, -1
+            read_b = read[t][b]
             for m in range(b + 1, l):
-                base = (
-                    objective.advance_cost(b, m)
-                    + read_b
-                    + inner.cost(b, m)
-                )
-                for u in tiers:
-                    val = base + objective.write_cost(u, m) + table[(m, u)][0]
+                base = adv_b[m - b] + read_b + inner_b[m - b]
+                for u, write_u, cost_u in priced:
+                    val = base + write_u[m] + cost_u[m]
                     if val < best - _TOL:
                         best, best_m, best_u = val, m, u
-            table[(b, t)] = (best, best_m, best_u)
+            cost[t][b] = best
+            choice[t][b] = (best_m, best_u)
 
-    best, t0 = suffix_inner[0], -1
+    best, t0 = inner.costs(0)[l], -1
     for t in tiers:
-        val = objective.write_cost(t, 0) + table[(0, t)][0]
+        val = write[t][0] + cost[t][0]
         if val < best - _TOL:
             best, t0 = val, t
 
@@ -482,7 +501,7 @@ def _solve(spec: ChainSpec, c: int, objective: JointObjective):
         b, t = 0, t0
         while True:
             splits.append((b, t))
-            _, m, u = table[(b, t)]
+            m, u = choice[t][b]
             if m == 0:
                 break
             b, t = m, u

@@ -30,7 +30,7 @@ measured forward count equals ``P(l, c)`` (see tests).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import threading
 
 from ..errors import PlanningError, ScheduleError
 from .actions import Action, adjoint, advance, free, restore, snapshot
@@ -95,30 +95,45 @@ def opt_forwards(l: int, c: int) -> int:
     return r * l - beta(c + 1, r - 1)
 
 
-@lru_cache(maxsize=None)
+#: One process-wide DP table, ``cost[c][l]`` and argmin ``split[c][l]``
+#: (row 0 unused).  Entries do not depend on the table's bounds, so rows
+#: are only ever extended; each row grows to the longest length asked of
+#: it, so a deep single-slot request does not lengthen the other rows.
+_COST: list[list[int]] = [[]]
+_SPLIT: list[list[int]] = [[]]
+_TABLE_LOCK = threading.Lock()
+
+
 def _dp_tables(l_max: int, c_max: int) -> tuple[list[list[int]], list[list[int]]]:
     """Bottom-up DP: cost[c][l] and argmin split point m[c][l].
 
-    cost[c][l] uses 1-based c in 1..c_max and l in 0..l_max; split[c][l]
-    is 0 where no split applies (l <= 1 or c == 1).
+    cost[c][l] is valid for 1-based c in 1..c_max and l in 0..l_max;
+    split[c][l] is 0 where no split applies (l <= 1 or c == 1).  The
+    returned lists are the shared table: read them, never mutate them.
     """
-    INF = float("inf")
-    cost = [[0] * (l_max + 1) for _ in range(c_max + 1)]
-    split = [[0] * (l_max + 1) for _ in range(c_max + 1)]
-    for l in range(l_max + 1):
-        cost[1][l] = l * (l - 1) // 2
-    for c in range(2, c_max + 1):
-        for l in range(2, l_max + 1):
-            best = INF
-            best_m = 0
-            for m in range(1, l):
-                val = m + cost[c - 1][l - m] + cost[c][m]
-                if val < best:
-                    best = val
-                    best_m = m
-            cost[c][l] = int(best)
-            split[c][l] = best_m
-    return cost, split
+    with _TABLE_LOCK:
+        while len(_COST) <= c_max:
+            _COST.append([])
+            _SPLIT.append([])
+        # Row c reads row c-1 up to l-1, so growing rows in ascending c
+        # to the same length keeps every read inside filled entries.
+        for c in range(1, c_max + 1):
+            cost, split, prev = _COST[c], _SPLIT[c], _COST[c - 1]
+            for l in range(len(cost), l_max + 1):
+                if c == 1:
+                    cost.append(l * (l - 1) // 2)
+                    split.append(0)
+                    continue
+                best = float("inf")
+                best_m = 0
+                for m in range(1, l):
+                    val = m + prev[l - m] + cost[m]
+                    if val < best:
+                        best = val
+                        best_m = m
+                cost.append(int(best) if l >= 2 else 0)
+                split.append(best_m)
+    return _COST, _SPLIT
 
 
 def opt_forwards_dp(l: int, c: int) -> int:

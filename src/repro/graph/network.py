@@ -11,6 +11,7 @@ per-node output specs, parameter totals and FLOPs are available.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -118,20 +119,25 @@ class Graph:
         """
         if self._order is not None:
             return list(self._order)
-        indeg = {name: len(node.inputs) for name, node in self._nodes.items()}
-        ready = [n for n, d in indeg.items() if d == 0]
-        # Stable order: keep insertion order among ready nodes.
-        insertion = {name: i for i, name in enumerate(self._nodes)}
+        # Ready nodes pop in insertion order (heap keyed on insertion
+        # index); a consumer index lists each reader once per input edge.
+        names = list(self._nodes)
+        insertion = {name: i for i, name in enumerate(names)}
+        indeg = [len(self._nodes[name].inputs) for name in names]
+        consumers: list[list[int]] = [[] for _ in names]
+        for k, name in enumerate(names):
+            for src in self._nodes[name].inputs:
+                consumers[insertion[src]].append(k)
+        ready = [k for k, d in enumerate(indeg) if d == 0]
+        heapq.heapify(ready)
         order: list[str] = []
         while ready:
-            ready.sort(key=insertion.__getitem__)
-            cur = ready.pop(0)
-            order.append(cur)
-            for other in self._nodes.values():
-                if cur in other.inputs:
-                    indeg[other.name] -= other.inputs.count(cur)
-                    if indeg[other.name] == 0:
-                        ready.append(other.name)
+            cur = heapq.heappop(ready)
+            order.append(names[cur])
+            for k in consumers[cur]:
+                indeg[k] -= 1
+                if indeg[k] == 0:
+                    heapq.heappush(ready, k)
         if len(order) != len(self._nodes):
             raise GraphError(f"graph {self.name!r} has a cycle")
         self._order = order

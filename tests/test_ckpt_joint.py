@@ -227,3 +227,85 @@ class TestFigure1Dominance:
             dr = simulate_tiered(disk_revolve_schedule(l, c), spec)
             assert jt.peak_memory_bytes <= min(rv.peak_memory_bytes, dr.peak_memory_bytes)
             assert jt.total_cost(w, r) <= min(rv.total_cost(w, r), dr.total_cost(w, r)) + 1e-9
+
+
+def reference_joint_solve(spec, c, objective):
+    """The original outer loop: every price and inner reversal cost is
+    re-evaluated at each (b, t, m, u), with the inner costs taken from
+    the closed form or the segment DP exactly as the planner does."""
+    from repro.checkpointing.dynprog import SlotSegmentDP
+
+    l = spec.length
+    unit = objective.uniform_step
+    if unit is not None:
+        c_in = min(c, max(1, l - 1))
+
+        def inner(i, j):
+            return opt_forwards(j - i, c_in) * unit if j > i else 0.0
+
+    else:
+        dp = SlotSegmentDP(tuple(objective.step_cost(k) for k in range(1, l + 1)))
+
+        def inner(i, j):
+            return dp.solve(i, j, c)[0] if j > i else 0.0
+
+    tiers = objective.paged_tiers
+    table = {}
+    for b in range(l - 1, -1, -1):
+        for t in tiers:
+            best, best_m, best_u = inner(b, l), 0, -1
+            read_b = objective.read_cost(t, b)
+            for m in range(b + 1, l):
+                base = objective.advance_cost(b, m) + read_b + inner(b, m)
+                for u in tiers:
+                    val = base + objective.write_cost(u, m) + table[(m, u)][0]
+                    if val < best - 1e-12:
+                        best, best_m, best_u = val, m, u
+            table[(b, t)] = (best, best_m, best_u)
+    best, t0 = inner(0, l), -1
+    for t in tiers:
+        val = objective.write_cost(t, 0) + table[(0, t)][0]
+        if val < best - 1e-12:
+            best, t0 = val, t
+    splits = []
+    if t0 >= 0:
+        b, t = 0, t0
+        while True:
+            splits.append((b, t))
+            _, m, u = table[(b, t)]
+            if m == 0:
+                break
+            b, t = m, u
+    return best, tuple(splits)
+
+
+class TestHoistedPricesMatchReference:
+    @given(
+        l=st.integers(1, 20),
+        c=st.integers(1, 5),
+        seed=st.integers(0, 10_000),
+        uniform=st.booleans(),
+        zipped=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_plan_bit_identical(self, l, c, seed, uniform, zipped):
+        import random
+
+        from repro.edge.storage import BITTRAIN_SPARSE
+
+        rng = random.Random(seed)
+        if uniform:
+            spec = unit_spec(l)
+        else:
+            fwd = tuple(rng.uniform(0.1, 10.0) for _ in range(l))
+            acts = tuple(rng.randint(1, 1 << 22) for _ in range(l + 1))
+            spec = ChainSpec(name="rand", act_bytes=acts, fwd_cost=fwd, bwd_cost=fwd)
+        codec = BITTRAIN_SPARSE if zipped else None
+        # Prices on the same scale as a step, so paging both wins and loses.
+        for obj in (
+            UnitCostObjective(spec, rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0), codec=codec),
+            TimeObjective(spec, disk=SD_CARD, unit_seconds=rng.choice([1e-3, 1e-2]), codec=codec),
+            EnergyObjective(spec, disk=EMMC, compute_j_per_unit=0.05, codec=codec),
+        ):
+            plan = joint_plan(spec, c, obj)
+            assert (plan.cost, plan.splits) == reference_joint_solve(spec, c, obj)

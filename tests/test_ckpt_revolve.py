@@ -76,6 +76,80 @@ class TestOptForwards:
         assert opt_forwards(10_000, 10) > 0
 
 
+def reference_dp_tables(l_max, c_max):
+    """The original per-bounds table builder, rebuilt from scratch."""
+    cost = [[0] * (l_max + 1) for _ in range(c_max + 1)]
+    split = [[0] * (l_max + 1) for _ in range(c_max + 1)]
+    for l in range(l_max + 1):
+        cost[1][l] = l * (l - 1) // 2
+    for c in range(2, c_max + 1):
+        for l in range(2, l_max + 1):
+            best, best_m = float("inf"), 0
+            for m in range(1, l):
+                val = m + cost[c - 1][l - m] + cost[c][m]
+                if val < best:
+                    best, best_m = val, m
+            cost[c][l] = int(best)
+            split[c][l] = best_m
+    return cost, split
+
+
+class TestSharedDPTable:
+    @pytest.mark.parametrize(
+        "requests", [[(70, 9), (12, 3)], [(200, 1), (5, 12), (40, 4)], [(3, 2), (33, 6)]]
+    )
+    def test_grown_table_matches_fresh_build(self, requests):
+        from repro.checkpointing.revolve import _dp_tables
+
+        for l_max, c_max in requests:
+            cost, split = _dp_tables(l_max, c_max)
+            ref_cost, ref_split = reference_dp_tables(l_max, c_max)
+            for c in range(1, c_max + 1):
+                assert cost[c][: l_max + 1] == ref_cost[c]
+                assert split[c][: l_max + 1] == ref_split[c]
+
+    def test_concurrent_growth_matches_fresh_build(self):
+        """Threads growing the shared table at once never see a hole."""
+        import sys
+        import threading
+
+        from repro.checkpointing.revolve import _dp_tables
+
+        requests = [(l, c) for l in (90, 110, 130) for c in (2, 5, 9, 13)]
+        ref_cost, ref_split = reference_dp_tables(130, 13)
+        errors = []
+        start = threading.Barrier(len(requests))
+
+        def worker(l_max, c_max):
+            start.wait(timeout=60)
+            cost, split = _dp_tables(l_max, c_max)
+            for c in range(1, c_max + 1):
+                if cost[c][: l_max + 1] != ref_cost[c][: l_max + 1]:
+                    errors.append((l_max, c_max, c))
+                if split[c][: l_max + 1] != ref_split[c][: l_max + 1]:
+                    errors.append((l_max, c_max, c))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=r) for r in requests]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_one_table_serves_every_request(self):
+        from repro.checkpointing.revolve import _dp_tables
+
+        big = _dp_tables(30, 5)
+        assert _dp_tables(10, 2)[0] is big[0]
+        assert _dp_tables(31, 6)[1] is big[1]
+
+
 class TestExtraForwards:
     def test_zero_at_store_all(self):
         assert extra_forwards(10, 9) == 0

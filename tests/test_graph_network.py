@@ -87,6 +87,55 @@ class TestTopology:
             diamond_graph().node("zzz")
 
 
+def reference_topological_order(g: Graph) -> list[str]:
+    """The original quadratic Kahn sort: re-sort the ready list by
+    insertion index and scan every node for consumers on each pop."""
+    nodes = g._nodes
+    indeg = {name: len(node.inputs) for name, node in nodes.items()}
+    ready = [n for n, d in indeg.items() if d == 0]
+    insertion = {name: i for i, name in enumerate(nodes)}
+    order = []
+    while ready:
+        ready.sort(key=insertion.__getitem__)
+        cur = ready.pop(0)
+        order.append(cur)
+        for other in nodes.values():
+            if cur in other.inputs:
+                indeg[other.name] -= other.inputs.count(cur)
+                if indeg[other.name] == 0:
+                    ready.append(other.name)
+    return order
+
+
+class TestTopologicalOrderUnchanged:
+    @pytest.mark.parametrize(
+        "build",
+        ["resnet18", "resnet34", "resnet50", "vgg11", "vgg16", "mobilenet_v2", "tiny_residual"],
+    )
+    def test_zoo_order_matches_reference(self, build):
+        from repro import zoo
+
+        g = getattr(zoo, build)()
+        assert g.topological_order() == reference_topological_order(g)
+
+    def test_repeated_input_and_out_of_insertion_order(self):
+        """A node reading one input twice, and a hand-rewired graph whose
+        insertion order is not topological, sort as they always did."""
+        g = Graph("rewired")
+        g.add_input("in", TensorSpec((4,)))
+        g.add("a", Identity(), ["in"])
+        g.add("b", Identity(), ["in"])
+        g.add("c", Identity(), ["in"])
+        g.add("twice", Add(), ["c", "c"])
+        # Rewire so that ``a`` now depends on later nodes.
+        g._nodes["a"].inputs = ("twice",)
+        g._nodes["b"].inputs = ("a",)
+        g._order = None
+        order = g.topological_order()
+        assert order == reference_topological_order(g)
+        assert order == ["in", "c", "twice", "a", "b"]
+
+
 class TestInference:
     def test_infer_fills_outputs(self):
         g = diamond_graph()
