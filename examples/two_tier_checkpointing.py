@@ -11,12 +11,13 @@ Run: ``python examples/two_tier_checkpointing.py``
 """
 
 from repro.checkpointing import (
+    ChainSpec,
     disk_revolve_cost,
     disk_revolve_schedule,
     disk_revolve_splits,
     opt_forwards,
-    simulate_tiered,
 )
+from repro.engine import TieredBackend, execute
 
 L = 152  # LinearResNet-152
 
@@ -38,13 +39,15 @@ def main() -> None:
     # Verify one plan end to end on the virtual machine.
     c, d = 3, 1.0
     sch = disk_revolve_schedule(L, c, d, d)
-    st = simulate_tiered(sch)
+    run = execute(sch, TieredBackend(ChainSpec.homogeneous(L)))
+    disk = run.tier("disk")
+    measured = run.forward_steps + d * disk.writes + d * disk.reads
     print(f"\nVerified schedule (RAM slots={c}, I/O cost={d}):")
     print(f"  actions             : {len(sch)}")
-    print(f"  pure forward steps  : {st.forward_steps}")
-    print(f"  disk writes/reads   : {st.disk_writes}/{st.disk_reads}")
-    print(f"  peak RAM slots      : {st.peak_memory_slots} (<= {c})")
-    print(f"  measured total cost : {st.total_cost(d, d):.1f} "
+    print(f"  pure forward steps  : {run.forward_steps}")
+    print(f"  disk writes/reads   : {disk.writes}/{disk.reads}")
+    print(f"  peak RAM slots      : {run.tier('memory').peak_slots} (<= {c})")
+    print(f"  measured total cost : {measured:.1f} "
           f"(DP optimum {disk_revolve_cost(L, c, d, d):.1f})")
 
 

@@ -20,6 +20,7 @@ The package exposes:
 
 from .actions import (
     COMPRESS_SLOT_BASE,
+    DISK_SLOT_BASE,
     TIER_DISK,
     TIER_RAM,
     TIER_SLOT_STRIDE,
@@ -78,20 +79,15 @@ from .analysis import (
     slots_for_repetitions,
     slots_logarithmic_bound,
 )
-from .multilevel import (
-    DISK_SLOT_BASE,
-    TieredStats,
-    disk_revolve_cost,
-    disk_revolve_schedule,
-    disk_revolve_splits,
-    simulate_tiered,
-)
 from .joint import (
     EnergyObjective,
     JointObjective,
     JointPlan,
     TimeObjective,
     UnitCostObjective,
+    disk_revolve_cost,
+    disk_revolve_schedule,
+    disk_revolve_splits,
     joint_cost,
     joint_plan,
     joint_schedule,
@@ -190,8 +186,6 @@ __all__ = [
     "disk_revolve_cost",
     "disk_revolve_splits",
     "disk_revolve_schedule",
-    "TieredStats",
-    "simulate_tiered",
     "JointObjective",
     "UnitCostObjective",
     "TimeObjective",

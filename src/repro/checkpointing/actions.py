@@ -29,8 +29,7 @@ Slot ids encode *where a checkpoint lives*.  The id space is partitioned
 into bands of :data:`TIER_SLOT_STRIDE` consecutive ids: tier ``t`` owns
 ``[t·stride, (t+1)·stride)``, so tier 0 (:data:`TIER_RAM`) is plain RAM
 slots ``0, 1, 2, ...`` and tier 1 (:data:`TIER_DISK`) starts at
-``1_000_000`` — the historical ``DISK_SLOT_BASE`` convention of
-:mod:`repro.checkpointing.multilevel`, now shared as one alphabet by the
+``1_000_000`` (:data:`DISK_SLOT_BASE`) — one alphabet shared by the
 schedule VM (:mod:`repro.engine.vm`), the tiered backend
 (:mod:`repro.engine.tiered`) and the flat program IR
 (:mod:`repro.engine.program`).  :func:`tier_of_slot` /
@@ -74,6 +73,7 @@ __all__ = [
     "TIER_RAM",
     "TIER_DISK",
     "TIER_NAMES",
+    "DISK_SLOT_BASE",
     "tier_of_slot",
     "tier_slot",
     "local_slot",
@@ -138,6 +138,10 @@ def tier_slot(tier: int, local: int) -> int:
             f"local slot must be in [0, {TIER_SLOT_STRIDE}), got {local}"
         )
     return tier * TIER_SLOT_STRIDE + local
+
+
+#: First slot id of the disk tier — where paged schedules' disk band starts.
+DISK_SLOT_BASE = tier_slot(TIER_DISK, 0)
 
 
 def local_slot(slot: int) -> int:

@@ -6,7 +6,10 @@ fiat — ``revolve`` keeps everything in RAM and recomputes,
 (see PAPERS.md) frames the two as one optimization: per step, either
 recompute an activation when it is needed again, or page it to a storage
 tier, under a pluggable objective (wall time, energy).  This module is
-that planner for the segment-structured schedules our VM executes.
+that planner for the segment-structured schedules our VM executes, and
+the only home of the disk-revolve recurrence:
+:func:`disk_revolve_cost` / :func:`disk_revolve_splits` /
+:func:`disk_revolve_schedule` are this DP at unit prices.
 
 Model
 -----
@@ -56,6 +59,25 @@ transfers (the paper's duty-cycle framing: the node cannot sleep while a
 checkpoint is in flight).  Anything with ``step_cost`` / ``write_cost``
 / ``read_cost`` / ``paged_tiers`` plugs in.
 
+Disk-revolve
+------------
+
+The paper's reference [1] is INRIA's disk-revolve: edge nodes have
+little RAM but plentiful flash (the Waggle node's SD card), so
+activations can be checkpointed to a second, slower tier with
+unlimited slots and flat per-access costs ``w`` / ``r`` in forward
+units.  On a homogeneous unit chain under :class:`UnitCostObjective`
+the recurrence above is exactly Aupy, Herrmann et al.'s
+
+    DR(l, c_m) = min( P(l, c_m),
+                      min_{1<=j<l} [ j + w + DR(l-j, c_m) + r + P(j, c_m) ] )
+
+(``P`` is classic Revolve; the outermost ``x_0`` write is charged once
+when any split is taken), so the ``disk_revolve_*`` entry points are
+thin wrappers over :func:`joint_plan` / :func:`joint_schedule`.  Free
+disk (``w = r = 0``) degenerates to the store-everything sweep
+``l − 1``; infinitely expensive disk to ``P(l, c_m)``.
+
 Compression — the third action
 ------------------------------
 
@@ -76,11 +98,12 @@ profile and codec reproduces the planned cost exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from ..errors import PlanningError, ScheduleError
 from .actions import (
+    DISK_SLOT_BASE,
     TIER_DISK,
     TIER_RAM,
     Action,
@@ -109,6 +132,9 @@ __all__ = [
     "joint_plan",
     "joint_cost",
     "joint_schedule",
+    "disk_revolve_cost",
+    "disk_revolve_splits",
+    "disk_revolve_schedule",
 ]
 
 _TOL = 1e-12
@@ -210,10 +236,9 @@ class UnitCostObjective(JointObjective):
     """Abstract pricing in forward units — the disk-revolve convention.
 
     A step costs its ``fwd_cost`` entry; any paged write/read costs a
-    flat ``write_cost`` / ``read_cost`` regardless of size.  With the
-    defaults this is exactly the pricing under which
-    :func:`~repro.checkpointing.multilevel.disk_revolve_cost` plans, so
-    the joint optimum provably equals it on homogeneous chains.
+    flat ``write_cost`` / ``read_cost`` regardless of size — the pricing
+    :func:`disk_revolve_cost` plans under.  ``inf`` means "never page";
+    NaN is rejected.
     """
 
     def __init__(
@@ -223,7 +248,7 @@ class UnitCostObjective(JointObjective):
         read_cost: float = 1.0,
         codec: "CompressionModel | None" = None,
     ) -> None:
-        if write_cost < 0 or read_cost < 0:
+        if not (write_cost >= 0 and read_cost >= 0):
             raise PlanningError("paging costs must be non-negative")
         self._write = write_cost
         self._read = read_cost
@@ -267,7 +292,7 @@ class TimeObjective(JointObjective):
         unit_seconds: float = 1.0,
         codec: "CompressionModel | None" = None,
     ) -> None:
-        if unit_seconds <= 0:
+        if not (unit_seconds > 0):
             raise PlanningError("unit_seconds must be positive")
         self.disk = disk if disk is not None else _default_disk()
         self.unit_seconds = unit_seconds
@@ -332,7 +357,7 @@ class EnergyObjective(JointObjective):
             compute_j_per_unit = model.compute_j_per_flop
         if io_w is None:
             io_w = model.idle_w
-        if compute_j_per_unit < 0 or io_w < 0:
+        if not (compute_j_per_unit >= 0 and io_w >= 0):
             raise PlanningError("energy coefficients must be non-negative")
         self.disk = disk if disk is not None else _default_disk()
         self.compute_j_per_unit = compute_j_per_unit
@@ -626,3 +651,51 @@ def joint_schedule(
         slots=max(paged_slots) + 1,
         actions=tuple(actions),
     )
+
+
+# ---------------------------------------------------------------------------
+# Disk-revolve: the joint DP at unit prices
+# ---------------------------------------------------------------------------
+
+
+def _disk_revolve_args(
+    l: int, c_m: int, write_cost: float, read_cost: float
+) -> tuple[ChainSpec, int, UnitCostObjective]:
+    """Validate, then the unit chain, effective RAM budget and objective."""
+    if l < 1 or c_m < 1:
+        raise ScheduleError("require l >= 1 and c_m >= 1")
+    if not (write_cost >= 0 and read_cost >= 0):
+        raise ScheduleError("disk costs must be non-negative")
+    spec = ChainSpec.homogeneous(l)
+    objective = UnitCostObjective(spec, float(write_cost), float(read_cost))
+    return spec, min(c_m, max(1, l - 1)), objective
+
+
+def disk_revolve_cost(l: int, c_m: int, write_cost: float = 1.0, read_cost: float = 1.0) -> float:
+    """Optimal total cost: pure forwards + all disk I/O, in forward units.
+
+    Includes the one-off ``x_0`` write whenever the plan uses the disk.
+    """
+    return joint_plan(*_disk_revolve_args(l, c_m, write_cost, read_cost)).cost
+
+
+def disk_revolve_splits(l: int, c_m: int, write_cost: float = 1.0, read_cost: float = 1.0) -> list[int]:
+    """Disk-checkpoint positions (absolute indices, ``x_0`` excluded), left to right."""
+    plan = joint_plan(*_disk_revolve_args(l, c_m, write_cost, read_cost))
+    return [p for p, _ in plan.splits[1:]]
+
+
+def disk_revolve_schedule(
+    l: int, c_m: int, write_cost: float = 1.0, read_cost: float = 1.0
+) -> Schedule:
+    """Executable two-tier schedule achieving :func:`disk_revolve_cost`.
+
+    Disk slot ``DISK_SLOT_BASE + i`` holds the i-th disk-resident
+    activation (``x_0`` plus the split points); RAM slots are
+    ``0 .. c_m-1``.  A plan that pages nothing is exactly classic
+    Revolve, labelled ``revolve``.
+    """
+    spec, c_eff, objective = _disk_revolve_args(l, c_m, write_cost, read_cost)
+    sch = joint_schedule(spec, c_eff, objective)
+    paged = sch.slots > DISK_SLOT_BASE  # a paged plan declares its disk band
+    return replace(sch, strategy=f"disk_revolve(c_m={c_eff})" if paged else "revolve")

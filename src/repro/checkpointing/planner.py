@@ -344,8 +344,12 @@ def joint_frontier(
         raise PlanningError("slot budget must be >= 1")
     from ..engine.tiered import TieredBackend
     from ..engine.vm import execute
-    from .joint import EnergyObjective, TimeObjective, joint_schedule
-    from .multilevel import disk_revolve_schedule
+    from .joint import (
+        EnergyObjective,
+        TimeObjective,
+        disk_revolve_schedule,
+        joint_schedule,
+    )
     from .revolve import revolve_schedule
 
     if disk is None:

@@ -36,7 +36,7 @@ Conventions shared by every adapter (all homogeneous-chain semantics):
   single home of the expression previously duplicated across the
   planner and the ablation;
 * ``disk_revolve``'s ρ prices recompute only; its disk I/O is costed
-  separately by :func:`~repro.checkpointing.multilevel.disk_revolve_cost`.
+  separately by :func:`~repro.checkpointing.joint.disk_revolve_cost`.
 
 The base class backs ``extra_forwards``/``peak_slots`` by executing the
 (cached) schedule on the virtual machine, so a new strategy is correct
@@ -57,8 +57,7 @@ from ..obs import get_metrics, get_tracer
 from .actions import Action, ActionKind, compressed_slot
 from .chainspec import ChainSpec
 from .dynprog import budget_schedule, hetero_schedule
-from .joint import UnitCostObjective, joint_schedule
-from .multilevel import disk_revolve_schedule
+from .joint import UnitCostObjective, disk_revolve_schedule, joint_schedule
 from .revolve import extra_forwards as revolve_extra_forwards
 from .revolve import revolve_schedule, store_all_schedule
 from .schedule import Schedule
@@ -627,7 +626,8 @@ class DiskRevolveStrategy(CheckpointStrategy):
     """Two-level (memory + disk) checkpointing with ``c`` memory slots.
 
     ``peak_slots`` counts both tiers; ``rho`` prices recompute only —
-    disk I/O is costed by :func:`~.multilevel.disk_revolve_cost`.
+    disk I/O is costed by :func:`~.joint.disk_revolve_cost` (the joint
+    DP at unit prices, whose schedules this family emits).
     """
 
     name = "disk_revolve"
@@ -704,31 +704,18 @@ class JointStrategy(CheckpointStrategy):
     core draws ~4x that, so equal-duration transfers cost a quarter of
     the energy — the duty-cycle framing of
     :class:`~repro.edge.power.EnergyModel`), so it pages more eagerly.
+
+    ``codec_name`` (a key of
+    :func:`~repro.edge.storage.compression_models`) arms the objective
+    with a codec, adding page-compressed as a third action per split:
+    ``joint_zip`` uses BitTrain's sparse-bitmap default, so a compressed
+    page moves ``ratio`` of the bytes and the plan weakly dominates
+    ``joint_time``; its compressed splits use the compressed slot band
+    and execute with codec-priced transfers on a
+    :class:`~repro.engine.compressed.CompressedBackend`.
+
     Like ``disk_revolve``, ``rho`` prices recompute only; paging I/O is
     costed by the objective.
-    """
-
-    def __init__(self, name: str, write_cost: float = 1.0, read_cost: float = 1.0) -> None:
-        self.name = name
-        self.write_cost = write_cost
-        self.read_cost = read_cost
-
-    def build_schedule(self, l: int, c: int) -> Schedule:
-        spec = ChainSpec.homogeneous(l)
-        objective = UnitCostObjective(spec, self.write_cost, self.read_cost)
-        return joint_schedule(spec, c, objective, family=self.name)
-
-
-class JointZipStrategy(JointStrategy):
-    """Joint DP with compression as the third action per split.
-
-    Arms the unit-cost objective with a codec, doubling the split
-    alphabet: recompute vs page vs page-compressed.  A compressed page
-    moves ``ratio`` of the bytes (BitTrain's sparse-bitmap default), so
-    the plan weakly dominates ``joint_time`` by construction and pages
-    more eagerly; emitted compressed splits use the compressed slot
-    band, executing with codec-priced transfers on a
-    :class:`~repro.engine.compressed.CompressedBackend`.
     """
 
     def __init__(
@@ -736,21 +723,23 @@ class JointZipStrategy(JointStrategy):
         name: str,
         write_cost: float = 1.0,
         read_cost: float = 1.0,
-        codec_name: str = "bittrain",
+        codec_name: str | None = None,
     ) -> None:
-        super().__init__(name, write_cost, read_cost)
+        self.name = name
+        self.write_cost = write_cost
+        self.read_cost = read_cost
         self.codec_name = codec_name
 
     def build_schedule(self, l: int, c: int) -> Schedule:
-        # Lazy: repro.edge imports this package (layering, not a cycle).
-        from ..edge.storage import compression_models
+        codec = None
+        if self.codec_name is not None:
+            # Lazy: repro.edge imports this package (layering, not a cycle).
+            from ..edge.storage import compression_models
 
+            codec = compression_models()[self.codec_name]
         spec = ChainSpec.homogeneous(l)
         objective = UnitCostObjective(
-            spec,
-            self.write_cost,
-            self.read_cost,
-            codec=compression_models()[self.codec_name],
+            spec, self.write_cost, self.read_cost, codec=codec
         )
         return joint_schedule(spec, c, objective, family=self.name)
 
@@ -768,4 +757,4 @@ register(DiskRevolveStrategy())
 register(JointStrategy("joint_time"), aliases=("joint",))
 register(JointStrategy("joint_energy", write_cost=0.25, read_cost=0.25))
 register(RevolveZipStrategy())
-register(JointZipStrategy("joint_zip"))
+register(JointStrategy("joint_zip", codec_name="bittrain"))

@@ -504,24 +504,26 @@ def _pareto(args: argparse.Namespace) -> str:
 
 def _disk_revolve(args: argparse.Namespace) -> str:
     from .checkpointing import (
+        ChainSpec,
         disk_revolve_cost,
         disk_revolve_schedule,
         opt_forwards,
-        simulate_tiered,
     )
+    from .engine import TieredBackend, execute
 
     l, c, d = args.length, args.mem_slots, args.disk_cost
     sch = disk_revolve_schedule(l, c, d, d)
-    st = simulate_tiered(sch)
+    run = execute(sch, TieredBackend(ChainSpec.homogeneous(l)))
+    disk = run.tier("disk")
     mem_only = opt_forwards(l, c)
     return (
         f"Two-level checkpointing: l={l}, memory slots={c}, disk I/O cost={d}\n"
         f"  memory-only Revolve cost : {mem_only}\n"
         f"  two-level optimal cost   : {disk_revolve_cost(l, c, d, d):.1f}\n"
-        f"  disk checkpoints         : {st.disk_writes} "
-        f"(peak {st.peak_disk_slots} resident)\n"
-        f"  peak memory slots        : {st.peak_memory_slots}\n"
-        f"  pure forward steps       : {st.forward_steps}"
+        f"  disk checkpoints         : {disk.writes} "
+        f"(peak {disk.peak_slots} resident)\n"
+        f"  peak memory slots        : {run.tier('memory').peak_slots}\n"
+        f"  pure forward steps       : {run.forward_steps}"
     )
 
 

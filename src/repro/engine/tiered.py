@@ -2,12 +2,13 @@
 
 Extends :class:`~repro.engine.sim.SimBackend` with a storage ledger per
 tier: slot ids are routed by the shared tier-aware action alphabet
-(:func:`~repro.checkpointing.actions.tier_of_slot` — ids at or above
-``disk_slot_base``, i.e. outside tier 0's band, live on the disk tier,
+(:func:`~repro.checkpointing.actions.tier_of_slot` — ids outside tier
+0's band, i.e. at or above ``DISK_SLOT_BASE``, live on the disk tier,
 the rest in RAM).  Each tier may carry a
 :class:`~repro.edge.storage.StorageProfile` pricing its read/write path
-in seconds; a tier without a profile moves checkpoints for free (the
-pure-counting mode :func:`~repro.checkpointing.simulate_tiered` uses).
+in seconds; a tier without a profile moves checkpoints for free (pure
+counting: ``run.tier("disk").writes`` / ``.reads`` are then the plain
+I/O counts a unit-cost plan prices).
 This is what lets a ``disk_revolve`` schedule *execute* — not just be
 planned — with measured SD-card/eMMC transfer time in the resulting
 :class:`~repro.engine.stats.RunStats`.
@@ -19,7 +20,6 @@ from typing import TYPE_CHECKING
 
 from ..checkpointing.actions import TIER_RAM, tier_of_slot
 from ..checkpointing.chainspec import ChainSpec
-from ..checkpointing.multilevel import DISK_SLOT_BASE
 from .sim import SimBackend
 from .stats import TierStats
 
@@ -27,8 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..edge.storage import StorageProfile
 
 __all__ = ["TieredBackend"]
-
-_DEFAULT_BASE = DISK_SLOT_BASE
 
 
 class _TierLedger:
@@ -79,10 +77,8 @@ class TieredBackend(SimBackend):
         *,
         memory: "StorageProfile | None" = None,
         disk: "StorageProfile | None" = None,
-        disk_slot_base: int = DISK_SLOT_BASE,
     ) -> None:
         super().__init__(spec)
-        self._base = disk_slot_base
         self._memory_profile = memory
         self._disk_profile = disk
         self._mem = _TierLedger("memory", memory)
@@ -94,11 +90,7 @@ class TieredBackend(SimBackend):
         self._disk = _TierLedger("disk", self._disk_profile)
 
     def _tier(self, slot: int) -> _TierLedger:
-        # The shared alphabet routes by slot-id band; a custom
-        # ``disk_slot_base`` lowers (or raises) where the disk band starts.
-        if self._base == _DEFAULT_BASE:
-            return self._mem if tier_of_slot(slot) == TIER_RAM else self._disk
-        return self._disk if slot >= self._base else self._mem
+        return self._mem if tier_of_slot(slot) == TIER_RAM else self._disk
 
     def _stored_bytes(self, slot: int, index: int) -> int:
         """Bytes slot ``slot`` holds for activation ``index``.

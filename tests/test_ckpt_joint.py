@@ -12,19 +12,19 @@ from repro.checkpointing import (
     EnergyObjective,
     TimeObjective,
     UnitCostObjective,
-    disk_revolve_cost,
     joint_cost,
     joint_frontier,
     joint_plan,
     joint_schedule,
     opt_forwards,
     simulate,
-    simulate_tiered,
     tier_of_slot,
     validate,
 )
 from repro.edge.storage import EMMC, SD_CARD
 from repro.errors import PlanningError, ScheduleError
+
+from .test_ckpt_multilevel import reference_disk_revolve, tiered_run, total_cost
 
 BIG = 1e15
 
@@ -65,18 +65,19 @@ class TestCollapseProperties:
         spec = ChainSpec.homogeneous(l, fwd_cost=BIG)
         obj = UnitCostObjective(spec, write_cost=0.0, read_cost=0.0)
         assert joint_cost(spec, c, obj) == pytest.approx((l - 1) * BIG)
-        st_tiered = simulate_tiered(joint_schedule(spec, c, obj))
-        assert st_tiered.forward_steps == l - 1  # zero extra recomputation
+        run = tiered_run(joint_schedule(spec, c, obj))
+        assert run.forward_steps == l - 1  # zero extra recomputation
 
     @given(l=st.integers(1, 40), c=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
     def test_unit_pricing_equals_disk_revolve_exactly(self, l, c):
         """At disk_revolve's own prices the joint optimum coincides with
-        it — the DP is a strict generalization, not an approximation."""
+        the two-level recurrence — the DP is a strict generalization, not
+        an approximation."""
         spec = unit_spec(l)
         obj = UnitCostObjective(spec, write_cost=1.0, read_cost=1.0)
         assert joint_cost(spec, c, obj) == pytest.approx(
-            disk_revolve_cost(l, c), abs=1e-9
+            reference_disk_revolve(l, c)[0], abs=1e-9
         )
 
     @given(
@@ -91,7 +92,7 @@ class TestCollapseProperties:
         cost = joint_cost(spec, c, UnitCostObjective(spec, w, r))
         c_eff = min(c, max(1, l - 1))
         assert cost <= opt_forwards(l, c_eff) + 1e-9
-        assert cost <= disk_revolve_cost(l, c, w, r) + 1e-9
+        assert cost <= reference_disk_revolve(l, c, w, r)[0] + 1e-9
 
 
 class TestPlannedEqualsMeasured:
@@ -110,9 +111,9 @@ class TestPlannedEqualsMeasured:
         obj = UnitCostObjective(spec, w, r)
         sched = joint_schedule(spec, c, obj)
         assert validate(sched)
-        t = simulate_tiered(sched)
-        assert t.total_cost(w, r) == pytest.approx(joint_cost(spec, c, obj), rel=1e-9)
-        assert t.peak_memory_slots <= min(c, max(1, l - 1))
+        run = tiered_run(sched)
+        assert total_cost(run, w, r) == pytest.approx(joint_cost(spec, c, obj), rel=1e-9)
+        assert run.tier("memory").peak_slots <= min(c, max(1, l - 1))
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("disk", (SD_CARD, EMMC), ids=lambda d: d.name)
@@ -166,6 +167,22 @@ class TestScheduleAndProgram:
     def test_rejects_objective_for_other_chain(self):
         with pytest.raises(PlanningError):
             joint_plan(unit_spec(5), 2, UnitCostObjective(unit_spec(6)))
+
+    @pytest.mark.parametrize(
+        "build",
+        (
+            lambda spec: UnitCostObjective(spec, write_cost=math.nan),
+            lambda spec: UnitCostObjective(spec, read_cost=math.nan),
+            lambda spec: TimeObjective(spec, unit_seconds=math.nan),
+            lambda spec: EnergyObjective(spec, compute_j_per_unit=math.nan),
+            lambda spec: EnergyObjective(spec, io_w=math.nan),
+        ),
+        ids=("unit-write", "unit-read", "time-unit-seconds", "energy-compute", "energy-io"),
+    )
+    def test_rejects_nan_prices(self, build):
+        """NaN slips past ``x < 0`` and then loses every ``val < best``."""
+        with pytest.raises(PlanningError):
+            build(unit_spec(10))
 
     def test_plan_reports_tiers_and_splits(self):
         spec = ChainSpec.homogeneous(24, fwd_cost=10.0)
@@ -222,11 +239,16 @@ class TestFigure1Dominance:
         for l, c, w, r in ((21, 2, 1.0, 1.0), (34, 3, 0.5, 2.0), (60, 3, 2.0, 2.0)):
             spec = ChainSpec.homogeneous(l, act_bytes=1000)
             sched = joint_schedule(spec, c, UnitCostObjective(spec, w, r))
-            jt = simulate_tiered(sched, spec)
-            rv = simulate_tiered(revolve_schedule(l, c), spec)
-            dr = simulate_tiered(disk_revolve_schedule(l, c), spec)
-            assert jt.peak_memory_bytes <= min(rv.peak_memory_bytes, dr.peak_memory_bytes)
-            assert jt.total_cost(w, r) <= min(rv.total_cost(w, r), dr.total_cost(w, r)) + 1e-9
+            jt, rv, dr = (
+                tiered_run(s, spec)
+                for s in (sched, revolve_schedule(l, c), disk_revolve_schedule(l, c))
+            )
+            assert jt.tier("memory").peak_bytes <= min(
+                rv.tier("memory").peak_bytes, dr.tier("memory").peak_bytes
+            )
+            assert total_cost(jt, w, r) <= min(
+                total_cost(rv, w, r), total_cost(dr, w, r)
+            ) + 1e-9
 
 
 def reference_joint_solve(spec, c, objective):

@@ -128,6 +128,39 @@ class TestExtensionCommands:
         out = run(capsys, "disk-revolve", "--length", "50", "--mem-slots", "2")
         assert "two-level optimal cost" in out
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        (
+            (
+                ("--length", "50", "--mem-slots", "2"),
+                "Two-level checkpointing: l=50, memory slots=2, disk I/O cost=1.0\n"
+                "  memory-only Revolve cost : 285\n"
+                "  two-level optimal cost   : 112.0\n"
+                "  disk checkpoints         : 16 (peak 16 resident)\n"
+                "  peak memory slots        : 2\n"
+                "  pure forward steps       : 81\n",
+            ),
+            (
+                ("--length", "152", "--mem-slots", "3", "--disk-cost", "0.25"),
+                "Two-level checkpointing: l=152, memory slots=3, disk I/O cost=0.25\n"
+                "  memory-only Revolve cost : 886\n"
+                "  two-level optimal cost   : 225.2\n"
+                "  disk checkpoints         : 149 (peak 149 resident)\n"
+                "  peak memory slots        : 3\n"
+                "  pure forward steps       : 151\n",
+            ),
+        ),
+        ids=("l50-c2", "l152-c3-d0.25"),
+    )
+    def test_disk_revolve_output_pinned(self, capsys, argv, expected):
+        assert run(capsys, "disk-revolve", *argv) == expected
+
+    def test_disk_revolve_rejects_nan_cost(self, capsys):
+        from repro.errors import ScheduleError
+
+        with pytest.raises(ScheduleError):
+            main(["disk-revolve", "--length", "10", "--mem-slots", "2", "--disk-cost", "nan"])
+
     def test_campaign(self, capsys):
         out = run(capsys, "campaign", "--crossings", "200", "--target", "0.8")
         assert "target reached" in out

@@ -12,19 +12,17 @@ import numpy as np
 import pytest
 
 from repro.checkpointing import (
+    DISK_SLOT_BASE,
     ChainSpec,
     Schedule,
     adjoint,
     advance,
+    disk_revolve_cost,
+    disk_revolve_schedule,
     free,
     restore,
     simulate,
     snapshot,
-)
-from repro.checkpointing.multilevel import (
-    DISK_SLOT_BASE,
-    disk_revolve_cost,
-    disk_revolve_schedule,
 )
 from repro.autodiff import DenseLayer, SequentialNet, run_schedule
 from repro.edge.storage import EMMC, SD_CARD, StorageProfile
