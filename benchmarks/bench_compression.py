@@ -4,12 +4,13 @@ overhead gates.
 Two things are pinned here and gated in CI via ``BENCH_compression.json``:
 
 * **frontier dominance margins** — executing the compressed frontier
-  (:func:`~repro.checkpointing.compressed_frontier`) on Figure-1 block
-  chains with the BitTrain-like sparsity model, at least one compressed
-  family must strictly reduce peak bytes vs pure ``revolve`` at
-  equal-or-better wall time on some depth ≥ 34 panel, with gradient
-  fidelity inside the codec's declared bound.  The per-depth margins are
-  emitted so CI runs can be compared over time.
+  (:func:`~repro.checkpointing.measure_frontier` over the four
+  compressed families) on Figure-1 block chains with the BitTrain-like
+  sparsity model, at least one compressed family must strictly reduce
+  peak bytes vs pure ``revolve`` at equal-or-better wall time on some
+  depth ≥ 34 panel, with gradient fidelity inside the codec's declared
+  bound.  The per-depth margins are emitted so CI runs can be compared
+  over time.
 * **compile-path overhead** — compiling a compressed-band schedule must
   cost ≤ 1.05x compiling its uncompressed twin, as the median of paired
   per-round ratios (both compiles timed back to back each round, so host
@@ -23,11 +24,11 @@ compressed frontier points must land exactly on their pure families.
 
 from __future__ import annotations
 
-from repro.checkpointing import compressed_frontier, compressed_variant
+from repro.checkpointing import compressed_variant, measure_frontier
 from repro.checkpointing.revolve import revolve_schedule
 from repro.engine import compile_schedule
 from repro.edge.storage import BITTRAIN_SPARSE, LOSSLESS, SD_CARD
-from repro.experiments.figure1 import _joint_spec
+from repro.experiments.figure1 import COMPRESSED_FAMILIES, _joint_spec
 
 from paired import paired_ratio
 
@@ -54,8 +55,13 @@ def test_frontier_dominance_and_compile_overhead(outdir, bench_json):
         spec = _joint_spec(depth, BATCH, IMAGE)
         pts = {
             p.strategy: p
-            for p in compressed_frontier(
-                spec, C, SD_CARD, codec=BITTRAIN_SPARSE, unit_seconds=UNIT_SECONDS
+            for p in measure_frontier(
+                spec,
+                C,
+                COMPRESSED_FAMILIES,
+                SD_CARD,
+                codec=BITTRAIN_SPARSE,
+                unit_seconds=UNIT_SECONDS,
             )
         }
         base = pts["revolve"]
@@ -88,8 +94,8 @@ def test_frontier_dominance_and_compile_overhead(outdir, bench_json):
     spec = _joint_spec(34, BATCH, IMAGE)
     pts = {
         p.strategy: p
-        for p in compressed_frontier(
-            spec, C, SD_CARD, codec=LOSSLESS, unit_seconds=UNIT_SECONDS
+        for p in measure_frontier(
+            spec, C, COMPRESSED_FAMILIES, SD_CARD, codec=LOSSLESS, unit_seconds=UNIT_SECONDS
         )
     }
     assert (pts["revolve_zip"].peak_bytes, pts["revolve_zip"].wall_seconds) == (

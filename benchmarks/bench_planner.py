@@ -25,13 +25,13 @@ from repro.checkpointing import (
     UnitCostObjective,
     disk_revolve_cost,
     joint_cost,
-    joint_frontier,
     joint_plan,
+    measure_frontier,
     opt_forwards_budget,
     opt_forwards_hetero,
 )
 from repro.edge.storage import EMMC, SD_CARD
-from repro.experiments.figure1 import _joint_spec
+from repro.experiments.figure1 import JOINT_FAMILIES, _joint_spec
 
 C = 3
 UNIFORM_L = (20, 40, 60)
@@ -99,7 +99,9 @@ def test_joint_plan_time_and_dominance(outdir, bench_json):
             spec = _joint_spec(depth, batch=8, image=224)
             pts = {
                 p.strategy: p
-                for p in joint_frontier(spec, C, profile, unit_seconds=1.0 / 30e9)
+                for p in measure_frontier(
+                    spec, C, JOINT_FAMILIES, profile, unit_seconds=1.0 / 30e9
+                )
             }
             pure_wall = min(pts["revolve"].wall_seconds, pts["disk_revolve"].wall_seconds)
             pure_energy = min(

@@ -110,14 +110,13 @@ from .strategies import (
     uniform_rho,
 )
 from .planner import (
-    CompressedFrontierPoint,
+    FRONTIER_FAMILIES,
     FrontierPoint,
     PlanPoint,
     TrainingPlan,
     compare_strategies,
-    compressed_frontier,
-    joint_frontier,
     max_slots_in_budget,
+    measure_frontier,
     memory_curve,
     memory_for_slots,
     plan_training,
@@ -216,10 +215,9 @@ __all__ = [
     "slots_logarithmic_bound",
     "PlanPoint",
     "TrainingPlan",
+    "FRONTIER_FAMILIES",
     "FrontierPoint",
-    "CompressedFrontierPoint",
-    "joint_frontier",
-    "compressed_frontier",
+    "measure_frontier",
     "rho_for_slots",
     "slots_for_rho",
     "slots_for_rhos",

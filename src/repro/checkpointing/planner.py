@@ -19,13 +19,18 @@ optimizer copies):
 device budget, pick store-all if it fits, otherwise the optimal Revolve
 slot count, reporting the ρ paid — with the uniform
 (``checkpoint_sequential``) alternative quantified for comparison.
+
+:func:`measure_frontier` is the measured counterpart: it *executes* the
+pure, paged and compressed families (:data:`FRONTIER_FAMILIES`) on one
+tiered/compressed device and returns one :class:`FrontierPoint` each —
+peak bytes, wall seconds, joules and gradient fidelity on one scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,8 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "PlanPoint",
     "TrainingPlan",
+    "FRONTIER_FAMILIES",
     "FrontierPoint",
-    "CompressedFrontierPoint",
     "rho_for_slots",
     "slots_for_rho",
     "slots_for_rhos",
@@ -52,8 +57,7 @@ __all__ = [
     "rho_for_budget",
     "plan_training",
     "compare_strategies",
-    "joint_frontier",
-    "compressed_frontier",
+    "measure_frontier",
 ]
 
 
@@ -300,15 +304,26 @@ def compare_strategies(
     return out
 
 
+#: Every family :func:`measure_frontier` can place on the frontier.
+FRONTIER_FAMILIES = (
+    "revolve", "disk_revolve", "revolve_zip", "joint_time", "joint_energy", "joint_zip",
+)
+
+
 @dataclass(frozen=True)
 class FrontierPoint:
-    """One strategy's *measured* position on the joint memory/time/energy
-    frontier — produced by executing its schedule on a tiered backend,
-    not by trusting the planner's own cost model."""
+    """One strategy's *measured* position on the memory/time/energy/
+    fidelity frontier — produced by executing its schedule on a tiered or
+    compressed backend, not by trusting the planner's own cost model.
+
+    ``slots`` is the RAM slot count the family was planned with; the
+    codec fields keep their defaults for families that compress nothing.
+    """
 
     strategy: str
     slots: int
     extra_forwards: int
+    peak_bytes: int
     peak_memory_bytes: int
     peak_disk_bytes: int
     disk_writes: int
@@ -316,215 +331,119 @@ class FrontierPoint:
     transfer_seconds: float
     wall_seconds: float
     energy_joules: float
+    codec: str = "none"
+    bytes_saved: int = 0
+    fidelity_loss: float = 0.0
 
 
-def joint_frontier(
+def measure_frontier(
     spec: ChainSpec,
     c: int,
-    disk: "StorageProfile | None" = None,
-    *,
-    unit_seconds: float = 1.0,
-    compute_j_per_unit: float | None = None,
-    io_w: float | None = None,
-) -> list[FrontierPoint]:
-    """Execute pure revolve, pure disk-revolve and the two joint plans on
-    one tiered device and measure them on a common (wall, energy) scale.
-
-    All four schedules get the same RAM slot budget ``c`` and the same
-    storage profile (default SD card).  Wall seconds are compute cost ×
-    ``unit_seconds`` plus measured transfer seconds; energy is compute
-    cost × ``compute_j_per_unit`` plus ``io_w`` × transfer seconds
-    (defaults from :class:`~repro.edge.power.EnergyModel`, the idle-rail
-    duty-cycle framing).  Because the joint DP's option set contains both
-    pure families' plans as special cases, ``joint_time`` weakly
-    dominates both on wall seconds and ``joint_energy`` on joules — this
-    function is how that claim is *checked* rather than assumed.
-    """
-    if c < 1:
-        raise PlanningError("slot budget must be >= 1")
-    from ..engine.tiered import TieredBackend
-    from ..engine.vm import execute
-    from .joint import (
-        EnergyObjective,
-        TimeObjective,
-        disk_revolve_schedule,
-        joint_schedule,
-    )
-    from .revolve import revolve_schedule
-
-    if disk is None:
-        from ..edge.storage import SD_CARD
-
-        disk = SD_CARD
-    tobj = TimeObjective(spec, disk=disk, unit_seconds=unit_seconds)
-    eobj = EnergyObjective(
-        spec, disk=disk, compute_j_per_unit=compute_j_per_unit, io_w=io_w
-    )
-    l = spec.length
-    c_eff = min(c, max(1, l - 1))
-    schedules = (
-        ("revolve", revolve_schedule(l, c_eff)),
-        ("disk_revolve", disk_revolve_schedule(l, c_eff)),
-        ("joint_time", joint_schedule(spec, c, tobj)),
-        ("joint_energy", joint_schedule(spec, c, eobj, family="joint_energy")),
-    )
-    points: list[FrontierPoint] = []
-    for name, sched in schedules:
-        stats = execute(sched, TieredBackend(spec, disk=disk))
-        compute = stats.forward_cost + stats.replay_cost + stats.backward_cost
-        mem = stats.tier("memory")
-        dsk = stats.tier("disk")
-        points.append(
-            FrontierPoint(
-                strategy=name,
-                slots=c,
-                extra_forwards=stats.forward_steps - (l - 1),
-                peak_memory_bytes=mem.peak_bytes,
-                peak_disk_bytes=dsk.peak_bytes,
-                disk_writes=dsk.writes,
-                disk_reads=dsk.reads,
-                transfer_seconds=stats.transfer_seconds,
-                wall_seconds=compute * unit_seconds + stats.transfer_seconds,
-                energy_joules=compute * eobj.compute_j_per_unit
-                + eobj.io_w * stats.transfer_seconds,
-            )
-        )
-    return points
-
-
-@dataclass(frozen=True)
-class CompressedFrontierPoint:
-    """One strategy's *measured* position on the compression-aware
-    frontier: peak bytes × wall time × gradient fidelity, produced by
-    executing its schedule on a tiered / compressed backend."""
-
-    strategy: str
-    codec: str
-    slots: int
-    extra_forwards: int
-    peak_bytes: int
-    peak_memory_bytes: int
-    peak_disk_bytes: int
-    bytes_saved: int
-    fidelity_loss: float
-    transfer_seconds: float
-    wall_seconds: float
-    energy_joules: float
-
-
-def compressed_frontier(
-    spec: ChainSpec,
-    c: int,
+    families: tuple[str, ...] | list[str],
     disk: "StorageProfile | None" = None,
     *,
     codec: "CompressionModel | None" = None,
     unit_seconds: float = 1.0,
     compute_j_per_unit: float | None = None,
     io_w: float | None = None,
-) -> list[CompressedFrontierPoint]:
-    """Execute the pure, paged and compressed families on one device and
-    measure them on a common (peak bytes, wall, fidelity) scale.
+) -> list[FrontierPoint]:
+    """Execute each of ``families`` (:data:`FRONTIER_FAMILIES`) on one
+    device and measure them on one (peak bytes, wall, joules, fidelity)
+    scale, in the order given.
 
-    Four points: ``revolve`` (everything raw in RAM, the Figure-1
-    baseline), ``revolve_zip`` (the same binomial pattern with every
-    checkpoint run through ``codec``), ``joint_time`` (recompute vs
-    page-to-disk DP) and ``joint_zip`` (the full three-action DP:
-    recompute vs page vs page-compressed).  The compressed revolve
-    variant is granted the slot count that fits the *same RAM byte
-    envelope* as the baseline's ``c`` raw slots —
-    ``floor(c / ratio)`` — which is the compression lever's entire
-    point: ratio-scaled checkpoints buy extra slots, extra slots buy
-    off recomputation, and whether that wins on wall time once codec
-    seconds are charged is measured, not assumed.  Under the identity
-    codec every compressed point collapses onto its pure family.
-
-    Defaults: SD-card storage and the BitTrain-like sparsity model
-    (``ratio`` 0.28, lossless).  ``fidelity_loss`` carries the codec's
-    declared gradient-fidelity bound into the frontier so lossy codecs
-    (e.g. fp16 casting) are a third lever, not a free win.
+    ``revolve`` / ``disk_revolve`` run at ``min(c, l-1)`` slots,
+    ``joint_time`` / ``joint_energy`` / ``joint_zip`` plan at ``c``, and
+    ``revolve_zip`` (every checkpoint through ``codec``) gets the slot
+    count that fits revolve's measured RAM byte envelope — whether the
+    extra slots win once codec seconds are charged is measured, not
+    assumed.  The joint DP's option set holds both pure plans, so
+    ``joint_time`` weakly dominates them on wall seconds and
+    ``joint_energy`` on joules, and under the identity codec each zip
+    point collapses onto its pure twin: this is where those claims are
+    *checked*.  Wall is compute × ``unit_seconds`` plus transfer seconds;
+    joules are compute × ``compute_j_per_unit`` plus ``io_w`` × transfer
+    seconds (:class:`~repro.edge.power.EnergyModel` defaults).  Storage
+    defaults to the SD card, the codec to the BitTrain-like sparsity.
     """
     if c < 1:
         raise PlanningError("slot budget must be >= 1")
+    families = tuple(families)
+    unknown = [name for name in families if name not in FRONTIER_FAMILIES]
+    if not families or unknown:
+        raise PlanningError(f"families must be drawn from {FRONTIER_FAMILIES}, got {families!r}")
+    if not (math.isfinite(unit_seconds) and unit_seconds > 0):
+        raise PlanningError(f"unit_seconds must be finite and positive, got {unit_seconds}")
+    from ..edge.storage import BITTRAIN_SPARSE, SD_CARD
     from ..engine.compressed import CompressedBackend
     from ..engine.tiered import TieredBackend
     from ..engine.vm import execute
-    from .joint import EnergyObjective, TimeObjective, joint_schedule
+    from .joint import EnergyObjective, TimeObjective, disk_revolve_schedule, joint_schedule
     from .revolve import revolve_schedule
     from .strategies import compressed_variant
 
-    if disk is None:
-        from ..edge.storage import SD_CARD
-
-        disk = SD_CARD
-    if codec is None:
-        from ..edge.storage import BITTRAIN_SPARSE
-
-        codec = BITTRAIN_SPARSE
+    disk = SD_CARD if disk is None else disk
+    codec = BITTRAIN_SPARSE if codec is None else codec
+    tobj = TimeObjective(spec, disk, unit_seconds)
+    zobj = TimeObjective(spec, disk, unit_seconds, codec=codec)
+    eobj = EnergyObjective(spec, disk, compute_j_per_unit, io_w)
     l = spec.length
     cap = max(1, l - 1)
     c_eff = min(c, cap)
-    tobj = TimeObjective(spec, disk=disk, unit_seconds=unit_seconds)
-    zobj = TimeObjective(spec, disk=disk, unit_seconds=unit_seconds, codec=codec)
-    # Energy pricing only (rail wattage + J/unit defaults).
-    eobj = EnergyObjective(
-        spec, disk=disk, compute_j_per_unit=compute_j_per_unit, io_w=io_w
-    )
 
-    base_stats = execute(revolve_schedule(l, c_eff), TieredBackend(spec, disk=disk))
-    envelope = base_stats.tier("memory").peak_bytes
-    # The byte envelope is measured, not derived: real chains carry a
-    # small input activation, so ``floor(c / ratio)`` overshoots — walk
-    # down from it until the compressed run fits under revolve's peak.
-    c_zip = min(cap, max(c_eff, int(c_eff / codec.ratio)))
-    zip_stats = execute(
-        compressed_variant(revolve_schedule(l, c_zip), "revolve_zip"),
-        CompressedBackend(spec, codec, disk=disk),
-    )
-    while c_zip > c_eff and zip_stats.tier("memory").peak_bytes > envelope:
-        c_zip -= 1
-        zip_stats = execute(
-            compressed_variant(revolve_schedule(l, c_zip), "revolve_zip"),
-            CompressedBackend(spec, codec, disk=disk),
-        )
+    def tiered(sched):
+        return execute(sched, TieredBackend(spec, disk=disk))
 
-    runs = (
-        ("revolve", c_eff, base_stats),
-        ("revolve_zip", c_zip, zip_stats),
-        (
-            "joint_time",
-            c,
-            execute(joint_schedule(spec, c, tobj), TieredBackend(spec, disk=disk)),
-        ),
-        (
-            "joint_zip",
-            c,
-            execute(
-                joint_schedule(spec, c, zobj, family="joint_zip"),
-                CompressedBackend(spec, codec, disk=disk),
-            ),
-        ),
-    )
-    points: list[CompressedFrontierPoint] = []
-    for name, slots, stats in runs:
-        compute = stats.forward_cost + stats.replay_cost + stats.backward_cost
-        mem = stats.tier("memory")
+    def zipped(sched):
+        return execute(sched, CompressedBackend(spec, codec, disk=disk))
+
+    @cache
+    def revolve():
+        return c_eff, tiered(revolve_schedule(l, c_eff))
+
+    def revolve_zip():
+        # The byte envelope is measured, not derived: real chains carry a
+        # small input activation, so ``floor(c / ratio)`` overshoots —
+        # walk down from it until the compressed run fits under revolve's
+        # peak.
+        envelope = revolve()[1].tier("memory").peak_bytes
+        c_zip = min(cap, max(c_eff, int(c_eff / codec.ratio)))
+        while True:
+            stats = zipped(compressed_variant(revolve_schedule(l, c_zip), "revolve_zip"))
+            if c_zip == c_eff or stats.tier("memory").peak_bytes <= envelope:
+                return c_zip, stats
+            c_zip -= 1
+
+    runs = {
+        "revolve": revolve,
+        "disk_revolve": lambda: (c_eff, tiered(disk_revolve_schedule(l, c_eff))),
+        "revolve_zip": revolve_zip,
+        "joint_time": lambda: (c, tiered(joint_schedule(spec, c, tobj))),
+        "joint_energy": lambda: (c, tiered(joint_schedule(spec, c, eobj, "joint_energy"))),
+        "joint_zip": lambda: (c, zipped(joint_schedule(spec, c, zobj, "joint_zip"))),
+    }
+    points: list[FrontierPoint] = []
+    for name in families:
+        slots, stats = runs[name]()
         dsk = stats.tier("disk")
         z = stats.compression
+        codec_ledger = {} if z is None else dict(
+            codec=z.codec, bytes_saved=z.bytes_saved, fidelity_loss=z.fidelity_loss
+        )
         points.append(
-            CompressedFrontierPoint(
+            FrontierPoint(
                 strategy=name,
-                codec=z.codec if z is not None else "none",
                 slots=slots,
-                extra_forwards=stats.forward_steps - (l - 1),
+                extra_forwards=stats.extra_forward_steps(),
                 peak_bytes=stats.peak_bytes,
-                peak_memory_bytes=mem.peak_bytes,
+                peak_memory_bytes=stats.tier("memory").peak_bytes,
                 peak_disk_bytes=dsk.peak_bytes,
-                bytes_saved=z.bytes_saved if z is not None else 0,
-                fidelity_loss=z.fidelity_loss if z is not None else 0.0,
+                disk_writes=dsk.writes,
+                disk_reads=dsk.reads,
                 transfer_seconds=stats.transfer_seconds,
-                wall_seconds=compute * unit_seconds + stats.transfer_seconds,
-                energy_joules=compute * eobj.compute_j_per_unit
+                wall_seconds=stats.total_time * unit_seconds + stats.transfer_seconds,
+                energy_joules=stats.total_time * eobj.compute_j_per_unit
                 + eobj.io_w * stats.transfer_seconds,
+                **codec_ledger,
             )
         )
     return points

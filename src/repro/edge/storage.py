@@ -104,13 +104,14 @@ class StorageProfile:
     read_latency_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.write_bytes_per_s <= 0:
+        # Written as ``not (x > 0)`` so NaN is rejected too; inf is legal.
+        if not (self.write_bytes_per_s > 0):
             raise ValueError("write bandwidth must be positive")
-        if self.write_latency_s < 0:
+        if not (self.write_latency_s >= 0):
             raise ValueError("write latency must be non-negative")
-        if self.read_bytes_per_s is not None and self.read_bytes_per_s <= 0:
+        if self.read_bytes_per_s is not None and not (self.read_bytes_per_s > 0):
             raise ValueError("read bandwidth must be positive")
-        if self.read_latency_s is not None and self.read_latency_s < 0:
+        if self.read_latency_s is not None and not (self.read_latency_s >= 0):
             raise ValueError("read latency must be non-negative")
 
     def write_seconds(self, n_bytes: int) -> float:
@@ -162,13 +163,14 @@ class CompressionModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError("compression ratio must be in (0, 1]")
-        if self.compress_bytes_per_s is not None and self.compress_bytes_per_s <= 0:
+        # Written as ``not (x > 0)`` so NaN is rejected too; inf is legal.
+        if self.compress_bytes_per_s is not None and not (self.compress_bytes_per_s > 0):
             raise ValueError("compress bandwidth must be positive")
-        if self.decompress_bytes_per_s is not None and self.decompress_bytes_per_s <= 0:
+        if self.decompress_bytes_per_s is not None and not (self.decompress_bytes_per_s > 0):
             raise ValueError("decompress bandwidth must be positive")
-        if self.compress_latency_s < 0 or self.decompress_latency_s < 0:
+        if not (self.compress_latency_s >= 0 and self.decompress_latency_s >= 0):
             raise ValueError("codec latency must be non-negative")
-        if self.fidelity_loss < 0:
+        if not (self.fidelity_loss >= 0):
             raise ValueError("fidelity loss must be non-negative")
 
     @property

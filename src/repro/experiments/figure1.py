@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass
 
 from ..checkpointing import (
     ChainSpec,
-    compressed_frontier,
-    joint_frontier,
+    FrontierPoint,
+    measure_frontier,
     memory_for_slots,
     slots_for_rhos,
 )
@@ -40,6 +40,8 @@ __all__ = [
     "figure1_ascii",
     "default_rhos",
     "JOINT_STORAGE",
+    "JOINT_FAMILIES",
+    "COMPRESSED_FAMILIES",
     "figure1_joint_panel",
     "figure1_compressed_panel",
 ]
@@ -216,10 +218,14 @@ def _figure1_spec(params, inputs):
     }
 
 
-# -- joint rematerialization+paging frontier -------------------------------
+# -- measured frontiers: joint paging and compression ---------------------
 
-#: Storage profiles the joint frontier is measured against, by CLI name.
+#: Storage profiles the measured frontiers run against, by CLI name.
 JOINT_STORAGE = {"sd-card": SD_CARD, "emmc": EMMC}
+#: The strategies every joint-frontier row carries, in order.
+JOINT_FAMILIES = ("revolve", "disk_revolve", "joint_time", "joint_energy")
+#: The strategies every compressed-frontier row carries, in order.
+COMPRESSED_FAMILIES = ("revolve", "revolve_zip", "joint_time", "joint_zip")
 
 
 def _joint_spec(depth: int, batch: int, image: int) -> ChainSpec:
@@ -233,94 +239,162 @@ def _joint_spec(depth: int, batch: int, image: int) -> ChainSpec:
     )
 
 
+def _frontier_rows(
+    panel: str, storage: str, slots: int, depths: tuple[int, ...],
+    families: tuple[str, ...], codec: str | None = None,
+) -> list[tuple[dict, dict[str, FrontierPoint]]]:
+    """Execute ``families`` (:func:`~repro.checkpointing.measure_frontier`)
+    on one Figure-1 panel, storage profile and codec preset, compute timed
+    at the ODROID-XU4 rate.  Returns one ``(row, points by strategy)`` pair
+    per depth; the caller adds its own margins to each row.
+    """
+    if panel not in PANELS:
+        raise KeyError(f"panel must be one of {sorted(PANELS)}, got {panel!r}")
+    if storage not in JOINT_STORAGE:
+        raise KeyError(f"storage must be one of {sorted(JOINT_STORAGE)}, got {storage!r}")
+    models = compression_models()
+    if codec is not None and codec not in models:
+        raise KeyError(f"codec must be one of {sorted(models)}, got {codec!r}")
+    batch, image = PANELS[panel]
+    out = []
+    for depth in depths:
+        points = measure_frontier(
+            _joint_spec(depth, batch, image), slots, families, JOINT_STORAGE[storage],
+            codec=models.get(codec), unit_seconds=1.0 / ODROID_XU4.flops_per_s,
+        )
+        row = {
+            "depth": depth,
+            "batch_size": batch,
+            "image_size": image,
+            "storage": storage,
+            **({} if codec is None else {"codec": codec}),
+            "slots": slots,
+            "strategies": {p.strategy: asdict(p) for p in points},
+        }
+        out.append((row, {p.strategy: p for p in points}))
+    return out
+
+
 def figure1_joint_panel(
     panel: str,
     storage: str = "sd-card",
     slots: int = 3,
     depths: tuple[int, ...] = RESNET_DEPTHS,
 ) -> list[dict]:
-    """Measured joint frontier for one Figure-1 panel on one storage tier.
-
-    For each LinearResNet depth the four strategies (pure revolve, pure
-    disk-revolve, ``joint_time``, ``joint_energy``) are *executed* on a
-    :class:`~repro.engine.tiered.TieredBackend` priced by the chosen
-    storage profile, with compute timed at the ODROID-XU4 rate.  Each
-    returned row carries the per-strategy measurements plus the joint
-    planner's margins over the best pure family — the dominance numbers
-    the paper-level claim rests on.
+    """Measured :data:`JOINT_FAMILIES` frontier for one Figure-1 panel on
+    one storage tier.  Each row carries the per-strategy measurements plus
+    the joint planner's margins over the best pure family — the dominance
+    numbers the paper-level claim rests on.
     """
-    if panel not in PANELS:
-        raise KeyError(f"panel must be one of {sorted(PANELS)}, got {panel!r}")
-    if storage not in JOINT_STORAGE:
-        raise KeyError(f"storage must be one of {sorted(JOINT_STORAGE)}, got {storage!r}")
-    batch, image = PANELS[panel]
-    profile = JOINT_STORAGE[storage]
-    unit_seconds = 1.0 / ODROID_XU4.flops_per_s
     rows = []
-    for depth in depths:
-        spec = _joint_spec(depth, batch, image)
-        points = {
-            p.strategy: p
-            for p in joint_frontier(spec, slots, profile, unit_seconds=unit_seconds)
-        }
-        pure_wall = min(points["revolve"].wall_seconds, points["disk_revolve"].wall_seconds)
-        pure_energy = min(
-            points["revolve"].energy_joules, points["disk_revolve"].energy_joules
+    for row, pts in _frontier_rows(panel, storage, slots, depths, JOINT_FAMILIES):
+        pure = (pts["revolve"], pts["disk_revolve"])
+        row["wall_margin_s"] = min(p.wall_seconds for p in pure) - pts["joint_time"].wall_seconds
+        row["energy_margin_j"] = (
+            min(p.energy_joules for p in pure) - pts["joint_energy"].energy_joules
         )
-        rows.append(
-            {
-                "depth": depth,
-                "batch_size": batch,
-                "image_size": image,
-                "storage": storage,
-                "slots": slots,
-                "strategies": {name: asdict(p) for name, p in points.items()},
-                "wall_margin_s": pure_wall - points["joint_time"].wall_seconds,
-                "energy_margin_j": pure_energy - points["joint_energy"].energy_joules,
-            }
-        )
+        rows.append(row)
     return rows
 
 
-def _figure1_joint_ascii(doc: dict) -> str:
+def figure1_compressed_panel(
+    panel: str,
+    storage: str = "sd-card",
+    codec: str = "bittrain",
+    slots: int = 3,
+    depths: tuple[int, ...] = RESNET_DEPTHS,
+) -> list[dict]:
+    """Measured :data:`COMPRESSED_FAMILIES` frontier (peak bytes, wall
+    seconds, gradient fidelity) for one Figure-1 panel.  Each row also
+    names which compressed families Pareto-dominate pure revolve (strictly
+    fewer peak bytes at equal-or-better wall time), the claim
+    :mod:`benchmarks.bench_compression` gates on.
+    """
+    rows = []
+    for row, pts in _frontier_rows(panel, storage, slots, depths, COMPRESSED_FAMILIES, codec):
+        base = pts["revolve"]
+        zips = (pts["revolve_zip"], pts["joint_zip"])
+        best = min(zips, key=lambda p: (p.peak_bytes, p.wall_seconds))
+        row["dominating"] = [
+            p.strategy
+            for p in zips
+            if p.peak_bytes < base.peak_bytes and p.wall_seconds <= base.wall_seconds
+        ]
+        row["peak_margin_bytes"] = base.peak_bytes - best.peak_bytes
+        row["wall_margin_s"] = base.wall_seconds - best.wall_seconds
+        rows.append(row)
+    return rows
+
+
+def _frontier_table(doc: dict, kind: str, columns: str, point, margin, footer=()) -> str:
+    """ASCII layout shared by both frontiers: a title, then one line per
+    (depth, strategy) from ``point(row, name, p)`` and one ``margin(row)``
+    line per depth."""
+    batch, image = PANELS[doc["panel"]]
+    codec = f"codec {doc['codec']}, " if "codec" in doc else ""
     head = (
-        f"Figure 1{doc['panel']} joint frontier: batch {PANELS[doc['panel']][0]}, "
-        f"image {PANELS[doc['panel']][1]}, {doc['storage']}, c={doc['slots']}"
+        f"Figure 1{doc['panel']} {kind} frontier: batch {batch}, "
+        f"image {image}, {doc['storage']}, {codec}c={doc['slots']}"
     )
-    lines = [head, "=" * len(head)]
-    lines.append(
-        f"{'model':>16} {'strategy':>13} {'extra':>6} {'disk W/R':>9} "
-        f"{'xfer s':>8} {'wall s':>9} {'energy J':>9}"
-    )
+    lines = [head, "=" * len(head), columns]
     for row in doc["rows"]:
-        for name in ("revolve", "disk_revolve", "joint_time", "joint_energy"):
-            p = row["strategies"][name]
-            lines.append(
-                f"{'LinearResNet' + str(row['depth']):>16} {name:>13} "
-                f"{p['extra_forwards']:>6} {p['disk_writes']:>4}/{p['disk_reads']:<4} "
-                f"{p['transfer_seconds']:>8.2f} {p['wall_seconds']:>9.2f} "
-                f"{p['energy_joules']:>9.2f}"
-            )
-        lines.append(
+        lines += [point(row, name, p) for name, p in row["strategies"].items()]
+        lines.append(margin(row))
+    return "\n".join([*lines, *footer]) + "\n"
+
+
+def _frontier_csv(doc: dict, header: str, point) -> str:
+    """CSV layout shared by both frontiers: one ``point`` line per
+    (depth, strategy)."""
+    lines = [header]
+    for row in doc["rows"]:
+        lines += [point(row, name, p) for name, p in row["strategies"].items()]
+    return "\n".join(lines) + "\n"
+
+
+def _frontier_payload(params: dict, keys: tuple[str, ...], rows: list[dict], record) -> dict:
+    """Lab payload of one frontier unit: its ``keys`` params, the rows,
+    and one flat ``record(row, p)`` per (depth, strategy)."""
+    return {
+        **{k: params[k] for k in keys},
+        "rows": rows,
+        "records": [
+            {"model": f"LinearResNet{row['depth']}", "strategy": name, **record(row, p)}
+            for row in rows
+            for name, p in row["strategies"].items()
+        ],
+    }
+
+
+def _figure1_joint_ascii(doc: dict) -> str:
+    return _frontier_table(
+        doc,
+        "joint",
+        f"{'model':>16} {'strategy':>13} {'extra':>6} {'disk W/R':>9} "
+        f"{'xfer s':>8} {'wall s':>9} {'energy J':>9}",
+        lambda row, name, p: (
+            f"{'LinearResNet' + str(row['depth']):>16} {name:>13} "
+            f"{p['extra_forwards']:>6} {p['disk_writes']:>4}/{p['disk_reads']:<4} "
+            f"{p['transfer_seconds']:>8.2f} {p['wall_seconds']:>9.2f} "
+            f"{p['energy_joules']:>9.2f}"
+        ),
+        lambda row: (
             f"{'':>16} {'margin':>13} wall {row['wall_margin_s']:+.2f} s, "
             f"energy {row['energy_margin_j']:+.2f} J vs best pure family"
-        )
-    return "\n".join(lines) + "\n"
+        ),
+    )
 
 
 def _figure1_joint_csv(doc: dict) -> str:
-    lines = [
-        "depth,strategy,slots,extra_forwards,disk_writes,disk_reads,"
-        "transfer_s,wall_s,energy_j"
-    ]
-    for row in doc["rows"]:
-        for name, p in row["strategies"].items():
-            lines.append(
-                f"{row['depth']},{name},{p['slots']},{p['extra_forwards']},"
-                f"{p['disk_writes']},{p['disk_reads']},{p['transfer_seconds']:.4f},"
-                f"{p['wall_seconds']:.4f},{p['energy_joules']:.4f}"
-            )
-    return "\n".join(lines) + "\n"
+    return _frontier_csv(
+        doc,
+        "depth,strategy,slots,extra_forwards,disk_writes,disk_reads,transfer_s,wall_s,energy_j",
+        lambda row, name, p: (
+            f"{row['depth']},{name},{p['slots']},{p['extra_forwards']},"
+            f"{p['disk_writes']},{p['disk_reads']},{p['transfer_seconds']:.4f},"
+            f"{p['wall_seconds']:.4f},{p['energy_joules']:.4f}"
+        ),
+    )
 
 
 @experiment(
@@ -331,11 +405,7 @@ def _figure1_joint_csv(doc: dict) -> str:
         Param("storage", str, default="sd-card", choices=tuple(sorted(JOINT_STORAGE))),
         Param("slots", int, default=3),
     ),
-    renderers={
-        "ascii": _figure1_joint_ascii,
-        "csv": _figure1_joint_csv,
-        "json": render_json,
-    },
+    renderers={"ascii": _figure1_joint_ascii, "csv": _figure1_joint_csv, "json": render_json},
     default_units=tuple(
         UnitDef(
             {"panel": p, "storage": s, "slots": 3},
@@ -350,142 +420,50 @@ def _figure1_joint_csv(doc: dict) -> str:
 )
 def _figure1_joint_spec(params, inputs):
     rows = figure1_joint_panel(params["panel"], params["storage"], params["slots"])
-    return {
-        "panel": params["panel"],
-        "storage": params["storage"],
-        "slots": params["slots"],
-        "rows": rows,
-        "records": [
-            {
-                "model": f"LinearResNet{row['depth']}",
-                "strategy": name,
-                "wall_s": p["wall_seconds"],
-                "energy_j": p["energy_joules"],
-                "extra_forwards": p["extra_forwards"],
-            }
-            for row in rows
-            for name, p in row["strategies"].items()
-        ],
-    }
-
-
-# -- compression-aware frontier ---------------------------------------------
-
-#: The four strategies every compressed-frontier row carries, in order.
-COMPRESSED_FAMILIES = ("revolve", "revolve_zip", "joint_time", "joint_zip")
-
-
-def figure1_compressed_panel(
-    panel: str,
-    storage: str = "sd-card",
-    codec: str = "bittrain",
-    slots: int = 3,
-    depths: tuple[int, ...] = RESNET_DEPTHS,
-) -> list[dict]:
-    """Measured compression-aware frontier for one Figure-1 panel.
-
-    For each LinearResNet depth the four families (pure revolve, codec'd
-    revolve, the paging DP, the full recompute-vs-page-vs-compress DP)
-    are *executed* — compressed ones on a
-    :class:`~repro.engine.compressed.CompressedBackend` — and placed on
-    a common (peak bytes, wall seconds, gradient fidelity) scale.  Each
-    row also names which compressed families Pareto-dominate pure
-    revolve (strictly fewer peak bytes at equal-or-better wall time),
-    the claim :mod:`benchmarks.bench_compression` gates on.
-    """
-    if panel not in PANELS:
-        raise KeyError(f"panel must be one of {sorted(PANELS)}, got {panel!r}")
-    if storage not in JOINT_STORAGE:
-        raise KeyError(f"storage must be one of {sorted(JOINT_STORAGE)}, got {storage!r}")
-    models = compression_models()
-    if codec not in models:
-        raise KeyError(f"codec must be one of {sorted(models)}, got {codec!r}")
-    batch, image = PANELS[panel]
-    profile = JOINT_STORAGE[storage]
-    model = models[codec]
-    unit_seconds = 1.0 / ODROID_XU4.flops_per_s
-    rows = []
-    for depth in depths:
-        spec = _joint_spec(depth, batch, image)
-        points = {
-            p.strategy: p
-            for p in compressed_frontier(
-                spec, slots, profile, codec=model, unit_seconds=unit_seconds
-            )
-        }
-        base = points["revolve"]
-        dominating = [
-            name
-            for name in ("revolve_zip", "joint_zip")
-            if points[name].peak_bytes < base.peak_bytes
-            and points[name].wall_seconds <= base.wall_seconds
-        ]
-        best = min(
-            (points[n] for n in ("revolve_zip", "joint_zip")),
-            key=lambda p: (p.peak_bytes, p.wall_seconds),
-        )
-        rows.append(
-            {
-                "depth": depth,
-                "batch_size": batch,
-                "image_size": image,
-                "storage": storage,
-                "codec": codec,
-                "slots": slots,
-                "strategies": {name: asdict(p) for name, p in points.items()},
-                "dominating": dominating,
-                "peak_margin_bytes": base.peak_bytes - best.peak_bytes,
-                "wall_margin_s": base.wall_seconds - best.wall_seconds,
-            }
-        )
-    return rows
+    return _frontier_payload(
+        params, ("panel", "storage", "slots"), rows,
+        lambda row, p: {
+            "wall_s": p["wall_seconds"],
+            "energy_j": p["energy_joules"],
+            "extra_forwards": p["extra_forwards"],
+        },
+    )
 
 
 def _figure1_compressed_ascii(doc: dict) -> str:
-    head = (
-        f"Figure 1{doc['panel']} compressed frontier: batch {PANELS[doc['panel']][0]}, "
-        f"image {PANELS[doc['panel']][1]}, {doc['storage']}, codec {doc['codec']}, "
-        f"c={doc['slots']}"
-    )
-    lines = [head, "=" * len(head)]
-    lines.append(
+    return _frontier_table(
+        doc,
+        "compressed",
         f"{'model':>16} {'strategy':>12} {'slots':>5} {'extra':>6} "
-        f"{'peak MB':>8} {'wall s':>9} {'fidelity':>9} {'saved MB':>9}"
-    )
-    for row in doc["rows"]:
-        for name in COMPRESSED_FAMILIES:
-            p = row["strategies"][name]
-            mark = " *" if name in row["dominating"] else ""
-            lines.append(
-                f"{'LinearResNet' + str(row['depth']):>16} {name:>12} "
-                f"{p['slots']:>5} {p['extra_forwards']:>6} "
-                f"{p['peak_bytes'] / MB:>8.1f} {p['wall_seconds']:>9.2f} "
-                f"{p['fidelity_loss']:>9.4g} {p['bytes_saved'] / MB:>9.1f}{mark}"
-            )
-        lines.append(
+        f"{'peak MB':>8} {'wall s':>9} {'fidelity':>9} {'saved MB':>9}",
+        lambda row, name, p: (
+            f"{'LinearResNet' + str(row['depth']):>16} {name:>12} "
+            f"{p['slots']:>5} {p['extra_forwards']:>6} "
+            f"{p['peak_bytes'] / MB:>8.1f} {p['wall_seconds']:>9.2f} "
+            f"{p['fidelity_loss']:>9.4g} {p['bytes_saved'] / MB:>9.1f}"
+            + (" *" if name in row["dominating"] else "")
+        ),
+        lambda row: (
             f"{'':>16} {'margin':>12} peak {row['peak_margin_bytes'] / MB:+.1f} MB, "
             f"wall {row['wall_margin_s']:+.2f} s vs pure revolve"
-        )
-    lines.append("* dominates revolve: fewer peak bytes at equal-or-better wall time")
-    return "\n".join(lines) + "\n"
+        ),
+        footer=("* dominates revolve: fewer peak bytes at equal-or-better wall time",),
+    )
 
 
 def _figure1_compressed_csv(doc: dict) -> str:
-    lines = [
+    return _frontier_csv(
+        doc,
         "depth,strategy,codec,slots,extra_forwards,peak_bytes,peak_memory_bytes,"
-        "peak_disk_bytes,bytes_saved,fidelity_loss,transfer_s,wall_s,energy_j,dominates"
-    ]
-    for row in doc["rows"]:
-        for name in COMPRESSED_FAMILIES:
-            p = row["strategies"][name]
-            lines.append(
-                f"{row['depth']},{name},{p['codec']},{p['slots']},"
-                f"{p['extra_forwards']},{p['peak_bytes']},{p['peak_memory_bytes']},"
-                f"{p['peak_disk_bytes']},{p['bytes_saved']},{p['fidelity_loss']},"
-                f"{p['transfer_seconds']:.4f},{p['wall_seconds']:.4f},"
-                f"{p['energy_joules']:.4f},{int(name in row['dominating'])}"
-            )
-    return "\n".join(lines) + "\n"
+        "peak_disk_bytes,bytes_saved,fidelity_loss,transfer_s,wall_s,energy_j,dominates",
+        lambda row, name, p: (
+            f"{row['depth']},{name},{p['codec']},{p['slots']},"
+            f"{p['extra_forwards']},{p['peak_bytes']},{p['peak_memory_bytes']},"
+            f"{p['peak_disk_bytes']},{p['bytes_saved']},{p['fidelity_loss']},"
+            f"{p['transfer_seconds']:.4f},{p['wall_seconds']:.4f},"
+            f"{p['energy_joules']:.4f},{int(name in row['dominating'])}"
+        ),
+    )
 
 
 @experiment(
@@ -498,48 +476,31 @@ def _figure1_compressed_csv(doc: dict) -> str:
         Param("slots", int, default=3),
     ),
     renderers={
-        "ascii": _figure1_compressed_ascii,
-        "csv": _figure1_compressed_csv,
-        "json": render_json,
+        "ascii": _figure1_compressed_ascii, "csv": _figure1_compressed_csv, "json": render_json,
     },
-    default_units=(
+    # Panel b with the BitTrain-like codec, plus the low-precision
+    # ablation: same panel, lossy fp16 casting.
+    default_units=tuple(
         UnitDef(
-            {"panel": "b", "storage": "sd-card", "codec": "bittrain", "slots": 3},
+            {"panel": "b", "storage": "sd-card", "codec": codec, "slots": 3},
             (
-                ("figure1_compressed_b.txt", "ascii"),
-                ("figure1_compressed_b.csv", "csv"),
+                (f"figure1_compressed_b{suffix}.txt", "ascii"),
+                (f"figure1_compressed_b{suffix}.csv", "csv"),
             ),
-        ),
-        # The low-precision ablation: same panel, lossy fp16 casting.
-        UnitDef(
-            {"panel": "b", "storage": "sd-card", "codec": "fp16", "slots": 3},
-            (
-                ("figure1_compressed_b_fp16.txt", "ascii"),
-                ("figure1_compressed_b_fp16.csv", "csv"),
-            ),
-        ),
+        )
+        for codec, suffix in (("bittrain", ""), ("fp16", "_fp16"))
     ),
 )
 def _figure1_compressed_spec(params, inputs):
     rows = figure1_compressed_panel(
         params["panel"], params["storage"], params["codec"], params["slots"]
     )
-    return {
-        "panel": params["panel"],
-        "storage": params["storage"],
-        "codec": params["codec"],
-        "slots": params["slots"],
-        "rows": rows,
-        "records": [
-            {
-                "model": f"LinearResNet{row['depth']}",
-                "strategy": name,
-                "peak_bytes": p["peak_bytes"],
-                "wall_s": p["wall_seconds"],
-                "fidelity_loss": p["fidelity_loss"],
-                "dominates": name in row["dominating"],
-            }
-            for row in rows
-            for name, p in row["strategies"].items()
-        ],
-    }
+    return _frontier_payload(
+        params, ("panel", "storage", "codec", "slots"), rows,
+        lambda row, p: {
+            "peak_bytes": p["peak_bytes"],
+            "wall_s": p["wall_seconds"],
+            "fidelity_loss": p["fidelity_loss"],
+            "dominates": p["strategy"] in row["dominating"],
+        },
+    )

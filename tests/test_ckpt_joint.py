@@ -13,9 +13,9 @@ from repro.checkpointing import (
     TimeObjective,
     UnitCostObjective,
     joint_cost,
-    joint_frontier,
     joint_plan,
     joint_schedule,
+    measure_frontier,
     opt_forwards,
     simulate,
     tier_of_slot,
@@ -210,7 +210,7 @@ class TestFigure1Dominance:
 
     @pytest.mark.parametrize("disk", (SD_CARD, EMMC), ids=lambda d: d.name)
     def test_all_panels_weakly_dominated_strict_somewhere(self, disk):
-        from repro.experiments.figure1 import PANELS, _joint_spec
+        from repro.experiments.figure1 import JOINT_FAMILIES, PANELS, _joint_spec
 
         strict = 0
         for batch, image in PANELS.values():
@@ -218,7 +218,9 @@ class TestFigure1Dominance:
                 spec = _joint_spec(depth, batch, image)
                 pts = {
                     p.strategy: p
-                    for p in joint_frontier(spec, 3, disk, unit_seconds=1.0 / 30e9)
+                    for p in measure_frontier(
+                        spec, 3, JOINT_FAMILIES, disk, unit_seconds=1.0 / 30e9
+                    )
                 }
                 jt, je = pts["joint_time"], pts["joint_energy"]
                 pure_wall = min(pts["revolve"].wall_seconds, pts["disk_revolve"].wall_seconds)

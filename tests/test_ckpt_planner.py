@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checkpointing import (
+    FRONTIER_FAMILIES,
+    ChainSpec,
     compare_strategies,
     extra_forwards,
     max_slots_in_budget,
+    measure_frontier,
     memory_curve,
     memory_for_slots,
     plan_training,
@@ -16,6 +19,7 @@ from repro.checkpointing import (
     rho_for_slots,
     slots_for_rho,
 )
+from repro.edge.storage import EMMC, LOSSLESS, SD_CARD
 from repro.errors import MemoryBudgetError, PlanningError
 from repro.memory import calibrated_models
 from repro.units import GB, MB
@@ -156,3 +160,91 @@ class TestCompareStrategies:
     def test_budget_validation(self):
         with pytest.raises(PlanningError):
             compare_strategies(10, 0)
+
+
+@st.composite
+def hetero_chains(draw):
+    """Random heterogeneous chain: per-step costs and activation sizes."""
+    l = draw(st.integers(2, 20))
+    return ChainSpec(
+        name=f"hetero{l}",
+        act_bytes=tuple(draw(st.lists(st.integers(1, 4 << 20), min_size=l + 1, max_size=l + 1))),
+        fwd_cost=tuple(draw(st.lists(st.floats(0.1, 3.0), min_size=l, max_size=l))),
+        bwd_cost=tuple(draw(st.lists(st.floats(0.1, 3.0), min_size=l, max_size=l))),
+    )
+
+
+class TestMeasureFrontier:
+    def test_families_come_back_in_the_order_given(self):
+        families = ("joint_zip", "revolve", "disk_revolve")
+        pts = measure_frontier(ChainSpec.homogeneous(8), 2, families)
+        assert tuple(p.strategy for p in pts) == families
+
+    def test_slots_are_the_count_each_family_planned_with(self):
+        """revolve/disk_revolve run at min(c, l-1) and report it; the
+        joint families plan at c itself."""
+        pts = measure_frontier(ChainSpec.homogeneous(5), 8, FRONTIER_FAMILIES)
+        assert {p.strategy: p.slots for p in pts} == {
+            "revolve": 4,
+            "disk_revolve": 4,
+            "revolve_zip": 4,
+            "joint_time": 8,
+            "joint_energy": 8,
+            "joint_zip": 8,
+        }
+
+    def test_revolve_zip_reports_its_walked_slot_count(self):
+        spec = ChainSpec.homogeneous(30, act_bytes=1000)
+        pts = {p.strategy: p for p in measure_frontier(spec, 3, ("revolve", "revolve_zip"))}
+        zipped, base = pts["revolve_zip"], pts["revolve"]
+        assert zipped.slots > base.slots == 3
+        assert zipped.peak_memory_bytes <= base.peak_memory_bytes
+        assert zipped.extra_forwards < base.extra_forwards
+
+    def test_pure_families_carry_the_codec_defaults(self):
+        (p,) = measure_frontier(ChainSpec.homogeneous(40), 2, ("disk_revolve",))
+        assert (p.codec, p.bytes_saved, p.fidelity_loss) == ("none", 0, 0.0)
+        assert p.disk_writes > 0 and p.peak_disk_bytes > 0
+
+    @pytest.mark.parametrize("families", [(), ("revolve", "hetero"), ("joint",)])
+    def test_unknown_or_empty_families_rejected(self, families):
+        with pytest.raises(PlanningError, match="families"):
+            measure_frontier(ChainSpec.homogeneous(6), 2, families)
+
+    @pytest.mark.parametrize("unit_seconds", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_unit_seconds_rejected(self, unit_seconds):
+        with pytest.raises(PlanningError, match="unit_seconds"):
+            measure_frontier(ChainSpec.homogeneous(6), 2, ("revolve",), unit_seconds=unit_seconds)
+
+    def test_slot_budget_validated(self):
+        with pytest.raises(PlanningError):
+            measure_frontier(ChainSpec.homogeneous(6), 0, ("revolve",))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=hetero_chains(),
+        c=st.integers(1, 8),
+        disk=st.sampled_from((SD_CARD, EMMC)),
+        unit_seconds=st.sampled_from((1e-9, 1e-3, 1e-1)),
+    )
+    def test_dominance_envelope_and_lossless_collapse(self, spec, c, disk, unit_seconds):
+        pts = {
+            p.strategy: p
+            for p in measure_frontier(spec, c, FRONTIER_FAMILIES, disk, unit_seconds=unit_seconds)
+        }
+        pure = (pts["revolve"], pts["disk_revolve"])
+        best_wall = min(p.wall_seconds for p in pure)
+        best_joules = min(p.energy_joules for p in pure)
+        assert pts["joint_time"].wall_seconds <= best_wall * (1 + 1e-9)
+        assert pts["joint_energy"].energy_joules <= best_joules * (1 + 1e-9)
+        assert pts["revolve_zip"].peak_memory_bytes <= pts["revolve"].peak_memory_bytes
+
+        lossless = {
+            p.strategy: p
+            for p in measure_frontier(
+                spec, c, FRONTIER_FAMILIES, disk, codec=LOSSLESS, unit_seconds=unit_seconds
+            )
+        }
+        for zipped, twin in (("revolve_zip", "revolve"), ("joint_zip", "joint_time")):
+            z, t = lossless[zipped], lossless[twin]
+            assert (z.peak_bytes, z.wall_seconds) == (t.peak_bytes, t.wall_seconds)

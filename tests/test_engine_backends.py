@@ -128,6 +128,17 @@ class TestStorageProfileReads:
         with pytest.raises(ValueError):
             StorageProfile("bad", read_latency_s=-1.0)
 
+    @pytest.mark.parametrize(
+        "field", ("write_bytes_per_s", "write_latency_s", "read_bytes_per_s", "read_latency_s")
+    )
+    def test_nan_fields_rejected(self, field):
+        with pytest.raises(ValueError, match="must be"):
+            StorageProfile("bad", **{field: float("nan")})
+
+    def test_infinite_fields_stay_legal(self):
+        p = StorageProfile("ideal", write_bytes_per_s=float("inf"), read_latency_s=float("inf"))
+        assert p.write_seconds(10**9) == p.write_latency_s
+
 
 class TestTieredExecution:
     def test_disk_revolve_executes_with_priced_transfers(self):

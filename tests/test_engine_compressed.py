@@ -21,13 +21,13 @@ from repro.checkpointing import (
     TIER_SLOT_STRIDE,
     TimeObjective,
     UnitCostObjective,
-    compressed_frontier,
     compressed_slot,
     compressed_variant,
     is_compressed_slot,
     joint_cost,
     joint_schedule,
     local_slot,
+    measure_frontier,
     storage_slot,
     tier_of_slot,
     tier_slot,
@@ -111,6 +111,24 @@ class TestCompressionModel:
             CompressionModel(ratio=1.5)
         with pytest.raises(ValueError):
             CompressionModel(fidelity_loss=-0.1)
+
+    @pytest.mark.parametrize(
+        "field",
+        (
+            "compress_bytes_per_s",
+            "decompress_bytes_per_s",
+            "compress_latency_s",
+            "decompress_latency_s",
+            "fidelity_loss",
+        ),
+    )
+    def test_nan_fields_rejected(self, field):
+        with pytest.raises(ValueError, match="must be"):
+            CompressionModel(**{field: float("nan")})
+
+    def test_infinite_bandwidth_is_free(self):
+        m = CompressionModel(compress_bytes_per_s=float("inf"))
+        assert m.compress_seconds(10**9) == m.decompress_seconds(10**9) == 0.0
 
     def test_compressed_bytes_floor(self):
         m = CompressionModel(name="tiny", ratio=0.001)
@@ -231,10 +249,14 @@ class TestLosslessCollapse:
         ) == joint_cost(spec, c, UnitCostObjective(spec, 1.0, 1.0))
 
     def test_frontier_collapses_pointwise(self):
+        from repro.experiments.figure1 import COMPRESSED_FAMILIES
+
         spec = _random_spec(21, 9)
         pts = {
             p.strategy: p
-            for p in compressed_frontier(spec, 3, codec=LOSSLESS, unit_seconds=1e-6)
+            for p in measure_frontier(
+                spec, 3, COMPRESSED_FAMILIES, codec=LOSSLESS, unit_seconds=1e-6
+            )
         }
         r, z = pts["revolve"], pts["revolve_zip"]
         assert (z.slots, z.extra_forwards, z.peak_bytes, z.wall_seconds) == (
@@ -296,13 +318,17 @@ class TestFrontierDominance:
     @pytest.fixture(scope="class")
     def panel_points(self):
         from repro.edge.device import ODROID_XU4
-        from repro.experiments.figure1 import _joint_spec
+        from repro.experiments.figure1 import COMPRESSED_FAMILIES, _joint_spec
 
         spec = _joint_spec(34, 8, 224)
         return {
             p.strategy: p
-            for p in compressed_frontier(
-                spec, 3, codec=BITTRAIN_SPARSE, unit_seconds=1.0 / ODROID_XU4.flops_per_s
+            for p in measure_frontier(
+                spec,
+                3,
+                COMPRESSED_FAMILIES,
+                codec=BITTRAIN_SPARSE,
+                unit_seconds=1.0 / ODROID_XU4.flops_per_s,
             )
         }
 

@@ -7,6 +7,7 @@ the payload's numbers.
 """
 
 import csv
+import hashlib
 import io
 import json
 
@@ -43,6 +44,7 @@ def render(name, fmt, params=None):
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("name", [
         "table1", "table2", "table3", "section5", "figure1",
+        "figure1_joint", "figure1_compressed",
         "ablation", "sensitivity", "extended", "summary",
     ])
     def test_json_parses_back_to_payload(self, name):
@@ -111,6 +113,51 @@ class TestFigure1:
         assert name == rec["model"]
         assert float(rho) == pytest.approx(rec["rho"], abs=1e-4)
         assert float(mb) == pytest.approx(rec["memory_mb"], abs=0.01)
+
+
+#: sha256 of the ascii and csv renderings of every default unit of the
+#: two measured-frontier specs, keyed by the artifact file they land in.
+FRONTIER_GOLDEN = {
+    "figure1_joint_a_sdcard.txt": "0d0fc3567f5bdbedb027a30b7f5e689a0669a81c0e462ed1d107acef848df3d9",
+    "figure1_joint_a_sdcard.csv": "257b5f4536211bd017cc576a16ce18d9f2edd76a0fd4aff20cc08ed6e6ccb53e",
+    "figure1_joint_a_emmc.txt": "67832acb243728f58ff40b86dfff5328b332a05dc1d268fb2b50dd77798a2ef7",
+    "figure1_joint_a_emmc.csv": "08ea5b205c2bd1d20e222f665d8ba3e441b98775d52f984fba2728c65651bd4a",
+    "figure1_joint_b_sdcard.txt": "a55cf04658ca714f6662b9f8fe860c4ecbcc78ef3ef751bf603274ed29e604ac",
+    "figure1_joint_b_sdcard.csv": "151a17564196b9a7d1651784fe91295f81bda3ea0539cbfbfdb76052e4873fe2",
+    "figure1_joint_b_emmc.txt": "4e1f772a78c8c825097870c9a98655e12ab9d4418ccc40c1b11b63f9e629744d",
+    "figure1_joint_b_emmc.csv": "777bb200da9f8885546e496905df79bf4f72ee6ac3ddf7bfe870f127051b041b",
+    "figure1_joint_c_sdcard.txt": "0d7fc0557e76fcd34d860f2f0c61df8ed02984fab74535d8dcdd36138bd15680",
+    "figure1_joint_c_sdcard.csv": "370758397c0b19c7f6bc1fdd48de4f8331c93bd5645ea419aadbcfe400e24196",
+    "figure1_joint_c_emmc.txt": "abda0b7e8970bc7baaf6573fa7150740e383a82706d27129d7a1419c73d004f2",
+    "figure1_joint_c_emmc.csv": "038ac6ac8f9c9874e7a50701391185d91951e8134d947688b4aa7f2d7047e8a8",
+    "figure1_joint_d_sdcard.txt": "98d6963513317ef9413f2f37c9e2fb363a1c27ab40fce17a5169eaf3ffdb18b8",
+    "figure1_joint_d_sdcard.csv": "fb6ecbc91e3c80659dbe1c629b3700e2e3412ac021ea592392dbec3e9e113501",
+    "figure1_joint_d_emmc.txt": "dc6143da440d14f25d7b7be30e13cd38179ff9e86e29444947637de1693e54b3",
+    "figure1_joint_d_emmc.csv": "7ebe1128ff2faecd8909ffcdf69e65da488373f9b7729f7ec4fed23e5dca23ba",
+    "figure1_compressed_b.txt": "6c5c165ed4a28d8d212431d70fbe8a259cb936471e0d0fa0f8a4950c10aae82a",
+    "figure1_compressed_b.csv": "be31d7f1fa6918fa81917ea6bd30e74f1509acbbe56d08b10760035ecc09a63e",
+    "figure1_compressed_b_fp16.txt": "faa61f6f0c793d76b6df0250a8b9ebe2acad0e9ab9c404dade0a4d5e7afcf860",
+    "figure1_compressed_b_fp16.csv": "59d345290120ef08a4f59881e8405dbc4620c256a5efc84d1f52ffa3b3a96d2a",
+}
+
+FRONTIER_RENDERINGS = [
+    (name, dict(unit.params), fname, fmt)
+    for name in ("figure1_joint", "figure1_compressed")
+    for unit in lab.get_spec(name).default_units
+    for fname, fmt in unit.outputs
+]
+
+
+class TestFrontierGolden:
+    def test_every_default_rendering_is_pinned(self):
+        assert sorted(f for _, _, f, _ in FRONTIER_RENDERINGS) == sorted(FRONTIER_GOLDEN)
+
+    @pytest.mark.parametrize(
+        "name,params,fname,fmt", FRONTIER_RENDERINGS, ids=[r[2] for r in FRONTIER_RENDERINGS]
+    )
+    def test_rendering_sha256(self, name, params, fname, fmt):
+        text = render(name, fmt, params)
+        assert hashlib.sha256(text.encode()).hexdigest() == FRONTIER_GOLDEN[fname]
 
 
 class TestAblationSensitivityExtended:
