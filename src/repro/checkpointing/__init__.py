@@ -95,18 +95,14 @@ from .joint import (
 from .strategies import (
     CacheInfo,
     CheckpointStrategy,
-    ProgramCacheInfo,
     available_strategies,
     clear_schedule_cache,
     compressed_variant,
     get_strategy,
-    program_cache_info,
-    program_key_digest,
     register,
     resolve_strategy_name,
     rho_from_extra,
     schedule_cache_info,
-    set_program_store,
     uniform_rho,
 )
 from .planner import (
@@ -202,12 +198,8 @@ __all__ = [
     "rho_from_extra",
     "uniform_rho",
     "CacheInfo",
-    "ProgramCacheInfo",
     "schedule_cache_info",
-    "program_cache_info",
-    "program_key_digest",
     "clear_schedule_cache",
-    "set_program_store",
     "regime_table",
     "ParetoPoint",
     "pareto_frontier",

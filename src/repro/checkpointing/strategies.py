@@ -46,8 +46,6 @@ them for O(1) planning.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -84,12 +82,8 @@ __all__ = [
     "uniform_rho",
     "compressed_variant",
     "CacheInfo",
-    "ProgramCacheInfo",
     "schedule_cache_info",
-    "program_cache_info",
     "clear_schedule_cache",
-    "set_program_store",
-    "program_key_digest",
 ]
 
 
@@ -130,97 +124,11 @@ class CacheInfo:
     stats: int
 
 
-@dataclass(frozen=True)
-class ProgramCacheInfo:
-    """Snapshot of the compiled-program cache layer counters.
-
-    ``hits``/``misses`` count in-memory lookups; ``store_hits`` counts
-    programs rehydrated from the attached content-addressed store and
-    ``store_writes`` programs persisted to it (so
-    ``misses - store_hits`` is the number of actual compilations).
-    """
-
-    hits: int
-    misses: int
-    store_hits: int
-    store_writes: int
-    programs: int
-
-
 #: Shared metric names for the cache's hit/miss counters — the bespoke
 #: integers the cache used to keep now live in the obs registry, where
 #: exported traces and summaries pick them up alongside everything else.
 CACHE_HITS = "ckpt.schedule_cache.hits"
 CACHE_MISSES = "ckpt.schedule_cache.misses"
-
-#: Metric names for the compiled-program layer.
-PROGRAM_CACHE_HITS = "ckpt.program_cache.hits"
-PROGRAM_CACHE_MISSES = "ckpt.program_cache.misses"
-PROGRAM_STORE_HITS = "ckpt.program_store.hits"
-PROGRAM_STORE_WRITES = "ckpt.program_store.writes"
-
-#: Attached cross-process program store (see :func:`set_program_store`).
-_PROGRAM_STORE = None
-_PROGRAM_STORE_LOCK = threading.Lock()
-
-
-def program_key_digest(key: tuple) -> str:
-    """Stable address of a compiled program for a given cache key.
-
-    Derived from the canonical JSON of the cache key (the same
-    ``(strategy, l[, c])`` tuple the schedule cache uses) plus the
-    payload format version — NOT from the program bytes, so the store
-    can be probed before the schedule is ever built.  Integrity of what
-    the address returns is enforced separately by the payload's content
-    digest (see :func:`repro.engine.program.program_from_payload`).
-    """
-    from ..engine.program import PROGRAM_VERSION
-
-    canon = json.dumps(["program", PROGRAM_VERSION, list(key)], separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-class _PathProgramStore:
-    """Lazy :class:`~repro.lab.store.ArtifactStore` wrapper for a path.
-
-    Lets callers attach a plain directory without this module importing
-    :mod:`repro.lab` at module scope (checkpointing sits below lab).
-    """
-
-    def __init__(self, root) -> None:
-        self._root = root
-        self._store = None
-
-    def _resolve(self):
-        if self._store is None:
-            from ..lab.store import ArtifactStore
-
-            self._store = ArtifactStore(self._root)
-        return self._store
-
-    def load_program(self, digest: str):
-        return self._resolve().load_program(digest)
-
-    def save_program(self, digest: str, payload: dict):
-        return self._resolve().save_program(digest, payload)
-
-
-def set_program_store(store):
-    """Attach a cross-process store for compiled programs; return the old one.
-
-    ``store`` may be ``None`` (detach), any object with
-    ``load_program(digest) -> dict | None`` and
-    ``save_program(digest, payload)``, or a filesystem path (wrapped in
-    a lazily constructed :class:`~repro.lab.store.ArtifactStore`).
-    """
-    global _PROGRAM_STORE
-    with _PROGRAM_STORE_LOCK:
-        previous = _PROGRAM_STORE
-        if store is None or hasattr(store, "load_program"):
-            _PROGRAM_STORE = store
-        else:
-            _PROGRAM_STORE = _PathProgramStore(store)
-    return previous
 
 
 class _ScheduleCache:
@@ -239,7 +147,6 @@ class _ScheduleCache:
         self._lock = threading.Lock()
         self._schedules: dict[tuple, Schedule] = {}
         self._stats: dict[tuple, "RunStats"] = {}
-        self._programs: dict[tuple, "CompiledProgram"] = {}
 
     def _get(self, table: dict, key: tuple):
         with self._lock:
@@ -267,68 +174,6 @@ class _ScheduleCache:
         with self._lock:
             return self._stats.setdefault(key, built)
 
-    def program(self, key: tuple, get_schedule) -> "CompiledProgram":
-        """Compiled program for ``key``: memory, then store, then compile.
-
-        A store hit rehydrates (and revalidates) the persisted payload
-        and also seeds the schedule table with the decompiled schedule,
-        so workers sharing a store skip both the build and the compile.
-        A corrupt or stale payload is silently recompiled — the store is
-        a cache, never a source of truth.  Either way the cached
-        schedule's own :attr:`~.schedule.Schedule.program` memo holds
-        the program, so executing it never compiles a second time.
-        """
-        from ..engine.program import decompile, program_from_payload
-        from ..errors import ReproError
-
-        with self._lock:
-            found = self._programs.get(key)
-        m = get_metrics()
-        tracer = get_tracer()
-        if found is not None:
-            m.counter(PROGRAM_CACHE_HITS).inc()
-            if tracer.enabled:
-                tracer.event("hit", category="cache", key=f"program:{key}")
-            return found
-        m.counter(PROGRAM_CACHE_MISSES).inc()
-        if tracer.enabled:
-            tracer.event("miss", category="cache", key=f"program:{key}")
-        store = _PROGRAM_STORE
-        built = None
-        if store is not None:
-            payload = store.load_program(program_key_digest(key))
-            if payload is not None:
-                try:
-                    built = program_from_payload(payload)
-                except ReproError:
-                    built = None
-                if built is not None:
-                    m.counter(PROGRAM_STORE_HITS).inc()
-        if built is None:
-            schedule = get_schedule()
-            built = schedule.program
-            if store is not None:
-                store.save_program(program_key_digest(key), built.to_payload())
-                m.counter(PROGRAM_STORE_WRITES).inc()
-        else:
-            schedule = decompile(built)
-        with self._lock:
-            built = self._programs.setdefault(key, built)
-            schedule = self._schedules.setdefault(key, schedule)
-        vars(schedule).setdefault("program", built)
-        return built
-
-    def program_info(self) -> ProgramCacheInfo:
-        m = get_metrics()
-        with self._lock:
-            return ProgramCacheInfo(
-                hits=m.counter(PROGRAM_CACHE_HITS).value,
-                misses=m.counter(PROGRAM_CACHE_MISSES).value,
-                store_hits=m.counter(PROGRAM_STORE_HITS).value,
-                store_writes=m.counter(PROGRAM_STORE_WRITES).value,
-                programs=len(self._programs),
-            )
-
     def info(self) -> CacheInfo:
         m = get_metrics()
         with self._lock:
@@ -343,14 +188,9 @@ class _ScheduleCache:
         with self._lock:
             self._schedules.clear()
             self._stats.clear()
-            self._programs.clear()
         m = get_metrics()
         m.counter(CACHE_HITS).reset()
         m.counter(CACHE_MISSES).reset()
-        m.counter(PROGRAM_CACHE_HITS).reset()
-        m.counter(PROGRAM_CACHE_MISSES).reset()
-        m.counter(PROGRAM_STORE_HITS).reset()
-        m.counter(PROGRAM_STORE_WRITES).reset()
 
 
 _CACHE = _ScheduleCache()
@@ -361,13 +201,8 @@ def schedule_cache_info() -> CacheInfo:
     return _CACHE.info()
 
 
-def program_cache_info() -> ProgramCacheInfo:
-    """Counters and entry count of the compiled-program cache layer."""
-    return _CACHE.program_info()
-
-
 def clear_schedule_cache() -> None:
-    """Drop every cached schedule/stats/program entry, reset all counters."""
+    """Drop every cached schedule and stats entry, reset the counters."""
     _CACHE.clear()
 
 
@@ -403,26 +238,18 @@ class CheckpointStrategy:
         return _CACHE.schedule(self.cache_key(l, c), lambda: self.build_schedule(l, c))
 
     def compiled(self, l: int, c: int) -> "CompiledProgram":
-        """Memoized flat-IR compilation of the cached schedule.
+        """Flat-IR program of the cached schedule.
 
-        Served from the in-memory layer, then the attached
-        cross-process store (:func:`set_program_store`), and only then
-        compiled from a freshly built schedule.
+        This is the schedule's own :attr:`~.schedule.Schedule.program`
+        memo, so each cached schedule compiles at most once per process.
         """
-        return _CACHE.program(self.cache_key(l, c), lambda: self.schedule(l, c))
+        return self.schedule(l, c).program
 
     def measured(self, l: int, c: int) -> "RunStats":
-        """Memoized virtual-machine measurements of the cached schedule.
-
-        The program comes through :meth:`compiled`, so it is compiled at
-        most once and shareable across processes.
-        """
-
-        def build() -> "RunStats":
-            self.compiled(l, c)  # seeds the cached schedule's program memo
-            return simulate(self.schedule(l, c))
-
-        return _CACHE.stats(self.cache_key(l, c), build)
+        """Memoized virtual-machine measurements of the cached schedule."""
+        return _CACHE.stats(
+            self.cache_key(l, c), lambda: simulate(self.schedule(l, c))
+        )
 
     # -- predictions (override with closed forms where they exist) --------
     def extra_forwards(self, l: int, c: int) -> int:

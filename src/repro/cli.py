@@ -568,9 +568,9 @@ def _exec(args: argparse.Namespace) -> str:
         from .engine import OPCODE_NAMES
         from .units import KB
 
-        program = strat.compiled(l, c)
+        program = sch.program
         spec = ChainSpec.homogeneous(l, act_bytes=int(args.act_kb * KB))
-        run = execute(sch, SimBackend(spec), compiled=program)
+        run = execute(sch, SimBackend(spec))
         counts = ", ".join(
             f"{name} {n}"
             for name, n in zip(OPCODE_NAMES, np.bincount(program.opcodes, minlength=5))

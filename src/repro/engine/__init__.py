@@ -35,7 +35,6 @@ from .program import (
     CompiledProgram,
     compile_schedule,
     decompile,
-    program_from_payload,
 )
 from .sim import SimBackend
 from .stats import CompressionStats, RunStats, StepStats, TierStats
@@ -57,7 +56,6 @@ __all__ = [
     "CompiledProgram",
     "compile_schedule",
     "decompile",
-    "program_from_payload",
     "OPCODE_NAMES",
     "OP_ADVANCE",
     "OP_SNAPSHOT",

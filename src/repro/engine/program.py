@@ -21,9 +21,7 @@ structural invariant of a schedule is checked here, raising
 rule, so the VM (:func:`repro.engine.execute`) dispatches a program with
 no per-action checks at all.  The decompiler
 (:func:`decompile`) inverts compilation exactly —
-``decompile(compile_schedule(s)) == s`` for every valid schedule — and
-:func:`program_from_payload` recompiles on load, so a persisted program
-can never smuggle an invalid action sequence past the VM.
+``decompile(compile_schedule(s)) == s`` for every valid schedule.
 
 :func:`run_compiled_sim` is the whole-program fast path for the
 analytic :class:`~repro.engine.sim.SimBackend`: byte peaks from one
@@ -48,7 +46,7 @@ from ..checkpointing.actions import (
     tier_of_slot,
 )
 from ..checkpointing.schedule import Schedule
-from ..errors import ExecutionError, ScheduleError
+from ..errors import ExecutionError
 from .stats import RunStats
 
 __all__ = [
@@ -63,14 +61,13 @@ __all__ = [
     "CompiledProgram",
     "compile_schedule",
     "decompile",
-    "program_from_payload",
     "run_compiled_sim",
 ]
 
-#: Payload format version for persisted programs.
+#: Encoding version, hashed into :attr:`CompiledProgram.digest`.
 PROGRAM_VERSION = 1
 
-# Opcode encoding; the order is part of the persisted format.
+# Opcode encoding; the order is part of the digested encoding.
 OP_ADVANCE = 0
 OP_SNAPSHOT = 1
 OP_RESTORE = 2
@@ -217,7 +214,7 @@ class CompiledProgram:
         """Whether any snapshot is stored through the compressed band."""
         return self.compression_usage != (0, 0)
 
-    # -- content addressing and persistence -----------------------------
+    # -- content addressing ----------------------------------------------
     @cached_property
     def digest(self) -> str:
         """SHA-256 over the canonical program encoding (content address)."""
@@ -228,18 +225,6 @@ class CompiledProgram:
         h.update(np.ascontiguousarray(self.opcodes, dtype="<i4").tobytes())
         h.update(np.ascontiguousarray(self.args, dtype="<i4").tobytes())
         return h.hexdigest()
-
-    def to_payload(self) -> dict:
-        """JSON-safe document from which the program can be rebuilt."""
-        return {
-            "version": PROGRAM_VERSION,
-            "strategy": self.strategy,
-            "length": self.length,
-            "slots": self.slots,
-            "opcodes": self.opcodes.tolist(),
-            "args": self.args.tolist(),
-            "digest": self.digest,
-        }
 
 
 def compile_schedule(schedule: Schedule) -> CompiledProgram:
@@ -400,48 +385,6 @@ def decompile(program: CompiledProgram) -> Schedule:
         slots=program.slots,
         actions=actions,
     )
-
-
-def program_from_payload(payload: object) -> CompiledProgram:
-    """Rebuild a program from :meth:`CompiledProgram.to_payload` output.
-
-    The action stream is recompiled (so every invariant is re-proven)
-    and the content digest re-derived; any mismatch raises
-    :class:`~repro.errors.ScheduleError` — a corrupted or tampered
-    payload can never produce a runnable program.
-    """
-    if not isinstance(payload, dict):
-        raise ScheduleError("program payload must be an object")
-    for field in ("version", "strategy", "length", "slots", "opcodes", "args", "digest"):
-        if field not in payload:
-            raise ScheduleError(f"program payload is missing field {field!r}")
-    if payload["version"] != PROGRAM_VERSION:
-        raise ScheduleError(
-            f"program payload has version {payload['version']}, "
-            f"expected {PROGRAM_VERSION}"
-        )
-    ops, raw_args = payload["opcodes"], payload["args"]
-    if len(ops) != len(raw_args):
-        raise ScheduleError("program payload opcode/arg arrays differ in length")
-    try:
-        actions = tuple(
-            Action(KIND_BY_OP[int(op)], int(arg)) for op, arg in zip(ops, raw_args)
-        )
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ScheduleError(f"program payload has an invalid opcode row: {exc}") from exc
-    schedule = Schedule(
-        strategy=str(payload["strategy"]),
-        length=int(payload["length"]),
-        slots=int(payload["slots"]),
-        actions=actions,
-    )
-    try:
-        program = compile_schedule(schedule)
-    except ExecutionError as exc:
-        raise ScheduleError(f"program payload does not compile: {exc}") from exc
-    if program.digest != payload["digest"]:
-        raise ScheduleError("program payload failed its content digest check")
-    return program
 
 
 def run_compiled_sim(program: CompiledProgram, backend) -> RunStats:

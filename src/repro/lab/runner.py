@@ -90,11 +90,6 @@ class RunReport:
 
     outcomes: list[UnitOutcome] = field(default_factory=list)
     jobs: int = 1
-    #: compiled schedule programs served from a cache layer (in-memory
-    #: or the store's cross-process ``programs/`` directory) this run
-    program_hits: int = 0
-    #: programs actually compiled from scratch this run
-    programs_compiled: int = 0
     #: where per-unit runlogs + campaign.json landed (telemetry runs only)
     telemetry_dir: Path | None = None
 
@@ -121,9 +116,7 @@ class RunReport:
     def summary_line(self) -> str:
         return (
             f"lab cache: {self.hits} hits / {self.misses} misses "
-            f"({self.computed} computed, jobs={self.jobs}); "
-            f"programs: {self.program_hits} shared / "
-            f"{self.programs_compiled} compiled"
+            f"({self.computed} computed, jobs={self.jobs})"
         )
 
 
@@ -154,19 +147,6 @@ def compute_payload(name: str, params: Mapping[str, Any] | None = None) -> Any:
     validated = spec.validate_params(params)
     inputs = tuple(compute_payload(d, p) for d, p in spec.deps)
     return compute_unit(spec, validated, inputs)
-
-
-def _program_counter_names() -> tuple[str, ...]:
-    # Imported lazily: lab stays importable without the checkpointing
-    # package's strategy registry being initialized first.
-    from ..checkpointing import strategies as ckpt
-
-    return (
-        ckpt.PROGRAM_CACHE_HITS,
-        ckpt.PROGRAM_CACHE_MISSES,
-        ckpt.PROGRAM_STORE_HITS,
-        ckpt.PROGRAM_STORE_WRITES,
-    )
 
 
 def _captured_compute(
@@ -201,35 +181,18 @@ def _pool_compute(
     spec_name: str,
     params: dict,
     inputs: tuple,
-    program_root: str | None = None,
     capture: dict | None = None,
-) -> tuple[Any, dict[str, int], float, dict[str, Any] | None]:
+) -> tuple[Any, float, dict[str, Any] | None]:
     """Process-pool entry point: re-resolve the spec in the worker.
 
-    When ``program_root`` is given the worker attaches the run's store
-    as its compiled-program cache, so schedules compiled by any worker
-    (or the parent) are shared rather than rebuilt per process.
-    Returns the payload, this task's program-counter deltas (counters
-    are snapshotted per task because pool workers are reused), the
-    worker-measured compute wall time, and the unit's resource profile
-    (``None`` unless ``capture`` requested telemetry).
+    Returns the payload, the worker-measured compute wall time, and the
+    unit's resource profile (``None`` unless ``capture`` requested
+    telemetry).  Schedules and their compiled programs are memoized per
+    process, so a worker plans each schedule at most once.
     """
     import repro.experiments  # noqa: F401  (populates the registry)
-    from ..checkpointing import strategies as ckpt
 
-    metrics = get_metrics()
-    names = _program_counter_names()
-    before = {n: metrics.counter(n).value for n in names}
-    previous = ckpt.set_program_store(program_root) if program_root else None
-    try:
-        payload, wall, profile = _captured_compute(
-            get_spec(spec_name), params, inputs, capture
-        )
-    finally:
-        if program_root:
-            ckpt.set_program_store(previous)
-    deltas = {n: metrics.counter(n).value - before[n] for n in names}
-    return payload, deltas, wall, profile
+    return _captured_compute(get_spec(spec_name), params, inputs, capture)
 
 
 def expand_units(units: Iterable[Unit]) -> list[Unit]:
@@ -489,73 +452,49 @@ def run_units(
             return None
         return tuple(payloads[k] for _, k in deps)
 
-    # The run's store doubles as a cross-process compiled-program cache:
-    # attach it around the compute phase (parent and workers alike) and
-    # report how many programs were shared vs compiled from scratch.
-    prog_names = _program_counter_names()
-    prog_before = {n: metrics.counter(n).value for n in prog_names}
-    program_root = str(store.root) if store is not None else None
-    if program_root is not None:
-        from ..checkpointing import strategies as _ckpt
-
-        prev_program_store = _ckpt.set_program_store(program_root)
-    try:
-        if jobs == 1 or len(pending) <= 1:
-            for i, u in enumerate(order):
-                key = keys[i]
-                if key not in pending:
-                    continue
-                inputs = ready_inputs(u)
-                assert inputs is not None  # topo order guarantees dep payloads
-                with tracer.span("unit", category="lab", spec=u.spec):
-                    payload, wall, profile = _captured_compute(
-                        specs[u.spec], u.params, inputs, capture_args(key, u)
+    if jobs == 1 or len(pending) <= 1:
+        for i, u in enumerate(order):
+            key = keys[i]
+            if key not in pending:
+                continue
+            inputs = ready_inputs(u)
+            assert inputs is not None  # topo order guarantees dep payloads
+            with tracer.span("unit", category="lab", spec=u.spec):
+                payload, wall, profile = _captured_compute(
+                    specs[u.spec], u.params, inputs, capture_args(key, u)
+                )
+            del pending[key]
+            finish(key, u, payload, wall, statuses[key], profile)
+    else:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
+            running: dict[Any, tuple[str, Unit]] = {}
+            while pending or running:
+                for i, u in enumerate(order):
+                    key = keys[i]
+                    if key not in pending or any(
+                        k == key for k, _ in running.values()
+                    ):
+                        continue
+                    inputs = ready_inputs(u)
+                    if inputs is None:
+                        continue
+                    fut = pool.submit(
+                        _pool_compute, u.spec, dict(u.params), inputs,
+                        capture_args(key, u),
                     )
-                del pending[key]
-                finish(key, u, payload, wall, statuses[key], profile)
-        else:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                running: dict[Any, tuple[str, Unit]] = {}
-                while pending or running:
-                    for i, u in enumerate(order):
-                        key = keys[i]
-                        if key not in pending or any(
-                            k == key for k, _ in running.values()
-                        ):
-                            continue
-                        inputs = ready_inputs(u)
-                        if inputs is None:
-                            continue
-                        fut = pool.submit(
-                            _pool_compute, u.spec, dict(u.params), inputs,
-                            program_root, capture_args(key, u),
-                        )
-                        running[fut] = (key, u)
-                        del pending[key]
-                    done, _ = wait(list(running), return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        key, u = running.pop(fut)
-                        # The worker measured the compute; the parent
-                        # only collects the result.  Record that as a
-                        # "collect" span — never as unit compute time.
-                        t_collect = time.perf_counter()
-                        payload, prog_deltas, wall, profile = fut.result()
-                        if tracer.enabled:
-                            tracer.record(
-                                "collect", "lab", t_collect, spec=u.spec
-                            )
-                        # Fold the worker's program-cache activity into
-                        # this process's counters so obs and the report
-                        # see the whole run.
-                        for name, delta in prog_deltas.items():
-                            metrics.counter(name).inc(delta)
-                        finish(key, u, payload, wall, statuses[key], profile)
-    finally:
-        if program_root is not None:
-            _ckpt.set_program_store(prev_program_store)
-    prog_delta = {
-        n: metrics.counter(n).value - prog_before[n] for n in prog_names
-    }
+                    running[fut] = (key, u)
+                    del pending[key]
+                done, _ = wait(list(running), return_when=FIRST_COMPLETED)
+                for fut in done:
+                    key, u = running.pop(fut)
+                    # The worker measured the compute; the parent only
+                    # collects the result.  Record that as a "collect"
+                    # span — never as unit compute time.
+                    t_collect = time.perf_counter()
+                    payload, wall, profile = fut.result()
+                    if tracer.enabled:
+                        tracer.record("collect", "lab", t_collect, spec=u.spec)
+                    finish(key, u, payload, wall, statuses[key], profile)
 
     # -- emit phase: re-render stale artifacts from cached payloads ----
     for key, unit in rerender.items():
@@ -572,26 +511,17 @@ def run_units(
         if o.status == "hit":
             metrics.counter("lab.cache.hits").inc()
 
-    hits_name, misses_name, store_hits_name, _writes_name = prog_names
-    report = RunReport(
-        jobs=jobs,
-        program_hits=prog_delta[hits_name] + prog_delta[store_hits_name],
-        programs_compiled=prog_delta[misses_name] - prog_delta[store_hits_name],
-    )
+    report = RunReport(jobs=jobs)
     for i, _unit in enumerate(order):
         report.outcomes.append(outcomes[keys[i]])
 
     if telemetry_root is not None:
         # The parent's run-level view: one campaign.json next to the
-        # unit runlogs, carrying this run's counter/histogram deltas
-        # (worker program-cache activity is already folded in above).
+        # unit runlogs, carrying this run's counter/histogram deltas.
         deltas = _metric_deltas(metrics_before, _metrics_state())
         counters = {
             name: 0
-            for name in (
-                "lab.cache.hits", "lab.cache.misses", "lab.cache.corrupt",
-                *prog_names,
-            )
+            for name in ("lab.cache.hits", "lab.cache.misses", "lab.cache.corrupt")
         }
         histograms: dict[str, dict[str, float]] = {}
         for name, delta in deltas.items():

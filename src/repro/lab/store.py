@@ -111,35 +111,6 @@ class ArtifactStore:
         except FileNotFoundError:
             pass
 
-    # -- compiled schedule programs ------------------------------------
-
-    def program_path(self, digest: str) -> Path:
-        return self.root / "programs" / f"{digest}.json"
-
-    def save_program(self, digest: str, payload: dict) -> Path:
-        """Persist a compiled-program payload under its key digest.
-
-        Atomic like every other write; last writer wins, which is safe
-        because payloads for one digest are deterministic.
-        """
-        path = self.program_path(digest)
-        _atomic_write_text(path, json.dumps(payload, indent=1, allow_nan=False))
-        return path
-
-    def load_program(self, digest: str) -> dict | None:
-        """Cached compiled-program payload, or ``None``.
-
-        Unlike :meth:`load_payload` this never raises: a missing or
-        corrupt program file just means the caller recompiles (the
-        payload's own content digest is verified downstream by
-        :func:`repro.engine.program.program_from_payload`).
-        """
-        try:
-            doc = json.loads(self.program_path(digest).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        return doc if isinstance(doc, dict) else None
-
     # -- rendered artifacts --------------------------------------------
 
     def artifact_path(self, filename: str) -> Path:

@@ -11,8 +11,8 @@ run-level deltas.  This module joins them into:
   envelope; loadable directly in chrome://tracing or Perfetto.
 * :func:`campaign_summary` — a JSON-ready summary: per-spec wall-time
   breakdown, per-worker occupancy, wave occupancy and the critical path
-  through the unit dependency DAG, cache and program-store hit rates,
-  and peak RSS per unit.
+  through the unit dependency DAG, the lab cache hit rate, and peak
+  RSS per unit.
 * :func:`render_report` — the ASCII timeline + tables behind
   ``repro obs report <outdir>``.
 
@@ -329,9 +329,6 @@ def campaign_summary(campaign: CampaignTelemetry) -> dict:
     counters = {k: v for k, v in meta.get("counters", {}).items()}
     lab_hits = counters.get("lab.cache.hits", 0)
     lab_misses = counters.get("lab.cache.misses", 0)
-    prog_cache_hits = counters.get("ckpt.program_cache.hits", 0)
-    prog_cache_misses = counters.get("ckpt.program_cache.misses", 0)
-    prog_store_hits = counters.get("ckpt.program_store.hits", 0)
 
     return {
         "campaign": {
@@ -373,15 +370,6 @@ def campaign_summary(campaign: CampaignTelemetry) -> dict:
                 "misses": lab_misses,
                 "corrupt": counters.get("lab.cache.corrupt", 0),
                 "hit_rate": _rate(lab_hits, lab_hits + lab_misses),
-            },
-            "programs": {
-                "cache_hits": prog_cache_hits,
-                "store_hits": prog_store_hits,
-                "compiled": max(prog_cache_misses - prog_store_hits, 0),
-                "hit_rate": _rate(
-                    prog_cache_hits + prog_store_hits,
-                    prog_cache_hits + prog_cache_misses,
-                ),
             },
         },
         "counters": counters,
@@ -473,12 +461,6 @@ def render_report(summary: dict) -> str:
         f"{cache['lab']['misses']} misses "
         f"({cache['lab']['corrupt']} corrupt, "
         f"hit rate {_pct(cache['lab']['hit_rate'])})"
-    )
-    lines.append(
-        f"programs    : {cache['programs']['cache_hits']} cache hits / "
-        f"{cache['programs']['store_hits']} store hits / "
-        f"{cache['programs']['compiled']} compiled "
-        f"(hit rate {_pct(cache['programs']['hit_rate'])})"
     )
     return "\n".join(lines)
 

@@ -161,10 +161,6 @@ def write_chrome_trace(
 _CACHE_COUNTERS = (
     "ckpt.schedule_cache.hits",
     "ckpt.schedule_cache.misses",
-    "ckpt.program_cache.hits",
-    "ckpt.program_cache.misses",
-    "ckpt.program_store.hits",
-    "ckpt.program_store.writes",
     "lab.cache.hits",
     "lab.cache.misses",
     "lab.cache.corrupt",
@@ -175,7 +171,7 @@ def summary(tracer: Tracer | None = None, metrics: Metrics | None = None) -> str
     """Per-(category, name) span statistics plus the metrics snapshot.
 
     The metrics half is three tables: counters (always including the
-    ``ckpt.*_cache`` / ``lab.cache`` families), gauges, and histograms
+    ``ckpt.schedule_cache`` / ``lab.cache`` families), gauges, and histograms
     with mean/p50/p95/max columns.
     """
     tracer = tracer if tracer is not None else get_tracer()

@@ -1,9 +1,7 @@
 """Worker-side telemetry sink: per-unit runlogs for campaign runs.
 
-The lab runner used to throw away everything a pool worker observed —
-spans and metrics died with the process, and only program-cache counter
-deltas crossed the boundary.  This module is the worker half of
-campaign telemetry:
+A pool worker's spans and metrics die with its process unless they are
+written down.  This module is the worker half of campaign telemetry:
 
 * :class:`RunlogTracer` is a *coarse* tracer: it buffers every ``with
   tracer.span(...)`` block and instant event like a live

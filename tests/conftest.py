@@ -64,16 +64,12 @@ def fresh_schedule_cache():
 
     Tests asserting on hit/miss counts or cache identity must start from
     a known-empty cache regardless of what ran before them in the suite.
-    Also detaches any cross-process compiled-program store and clears
-    the compiled-program layer, which shares the cache's lifecycle.
     """
-    from repro.checkpointing import clear_schedule_cache, set_program_store
+    from repro.checkpointing import clear_schedule_cache
 
-    previous_store = set_program_store(None)
     clear_schedule_cache()
     yield
     clear_schedule_cache()
-    set_program_store(previous_store)
 
 
 @pytest.fixture

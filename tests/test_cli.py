@@ -393,3 +393,24 @@ class TestExecCommand:
         doc = json.loads(path.read_text())
         cats = {e["cat"] for e in doc["traceEvents"]}
         assert "sim" in cats
+
+    def test_compile_prints_the_schedules_program(self, capsys):
+        from repro.checkpointing import get_strategy
+
+        out = run(capsys, "exec", "--compile", "--strategy", "revolve",
+                  "--length", "10", "--slots", "3")
+        program = get_strategy("revolve").build_schedule(10, 3).program
+        assert out.startswith("Compiled program: strategy=revolve l=10 slots=3\n")
+        assert "ops               : 45 (ADVANCE 9, SNAPSHOT 6, RESTORE 15, " \
+               "FREE 5, ADJOINT 10)" in out
+        assert f"digest            : sha256:{program.digest}" in out
+
+    def test_compile_with_compress_prints_the_compressed_program(self, capsys):
+        from repro.checkpointing import compressed_variant, get_strategy
+
+        out = run(capsys, "exec", "--compile", "--compress", "fp16",
+                  "--strategy", "revolve", "--length", "10", "--slots", "3")
+        plain = get_strategy("revolve").build_schedule(10, 3)
+        program = compressed_variant(plain, "revolve").program
+        assert program.digest != plain.program.digest
+        assert f"digest            : sha256:{program.digest}" in out

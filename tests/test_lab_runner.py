@@ -117,8 +117,7 @@ class TestRunner:
         report = lab.run_units(lab.default_units(["sensitivity"]),
                                lab.ArtifactStore(tmp_path), jobs=2)
         assert report.summary_line() == (
-            "lab cache: 0 hits / 1 misses (1 computed, jobs=2); "
-            "programs: 0 shared / 0 compiled"
+            "lab cache: 0 hits / 1 misses (1 computed, jobs=2)"
         )
 
     def test_parallel_serial_byte_identical(self, tmp_path):
@@ -146,3 +145,31 @@ class TestRunner:
 
     def test_default_jobs_positive(self):
         assert lab.default_jobs() >= 1
+
+    @pytest.mark.usefixtures("fresh_schedule_cache")
+    def test_forced_rerun_uses_current_planner(self, tmp_path):
+        """``force=True`` recomputes from today's strategies, never old plans."""
+        from repro.checkpointing import clear_schedule_cache, get_strategy, register
+        from repro.checkpointing.strategies import JointStrategy
+
+        unit = lab.Unit("ablation", {
+            "lengths": [18, 34], "slot_budgets": [3, 5],
+            "strategies": ["joint_energy"],
+        })
+        store = lab.ArtifactStore(tmp_path / "old")
+        original = get_strategy("joint_energy")
+        key = lab.run_units([unit], store).outcomes[-1].key
+        stale = store.load_payload(key)
+        try:
+            register(JointStrategy("joint_energy", write_cost=5.0, read_cost=5.0),
+                     overwrite=True)
+            clear_schedule_cache()
+            lab.run_units([unit], store, force=True)
+            clear_schedule_cache()
+            fresh_store = lab.ArtifactStore(tmp_path / "fresh")
+            lab.run_units([unit], fresh_store)
+            assert store.load_payload(key) == fresh_store.load_payload(key)
+            assert fresh_store.load_payload(key) != stale
+        finally:
+            register(original, overwrite=True)
+            clear_schedule_cache()

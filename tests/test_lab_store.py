@@ -85,7 +85,7 @@ class TestStore:
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_concurrent_writers_of_one_file(self, tmp_path):
-        """Threads saving one program digest never lose a temp file."""
+        """Threads saving one payload key never lose a temp file."""
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -94,7 +94,7 @@ class TestStore:
 
         def save_many(_):
             for _ in range(200):
-                store.save_program("d" * 64, payload)
+                store.save_payload("d" * 64, "s", {}, payload)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -103,7 +103,7 @@ class TestStore:
                 list(pool.map(save_many, range(4), timeout=60))  # re-raises writer errors
         finally:
             sys.setswitchinterval(interval)
-        assert store.load_program("d" * 64) == payload
+        assert store.load_payload("d" * 64) == payload
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
