@@ -4,9 +4,9 @@ Two benches share this file:
 
 * the original 10-node federation cost/benefit sweep (accuracy vs radio
   across transfer-value assumptions, ``fleet.csv``);
-* the fleet-engine throughput ladder — legacy Python-loop engine vs its
-  bit-exact vectorized twin vs the native event-driven megafleet —
-  reported as simulated device-days per second of wall clock in
+* the fleet-engine throughput of the two engines — the seeded
+  ``simulate_fleet`` and the native event-driven megafleet — reported
+  as simulated device-days per second of wall clock in
   ``BENCH_fleet.json``.  The megafleet row is a hard gate: the ROADMAP's
   million-device north star requires ≥ 1M device-days/s.
 
@@ -17,7 +17,7 @@ can run this file with the plain pytest it has.
 import time
 
 from repro.edge import FleetConfig, simulate_fleet
-from repro.megafleet import preset_config, run_megafleet, simulate_fleet_vectorized
+from repro.megafleet import preset_config, run_megafleet
 from repro.units import GB
 
 #: the hard throughput gate for the native engine (device-days / s)
@@ -68,45 +68,28 @@ def test_fleet_federation_tradeoff(outdir):
 
 
 def test_fleet_engine_throughput(bench_json):
-    """Loop vs vectorized vs megafleet, gated at 1M device-days/s."""
-    # Legacy loop and its vectorized twin run the same config; the loop
-    # gets a small fleet (it is the slow one being measured).
-    loop_cfg = FleetConfig(
-        n_nodes=500, days=30, crash_rate_per_day=0.02, federation_period=5, seed=0
-    )
-    loop_res, loop_s = _timed(simulate_fleet, loop_cfg)
-    vec_cfg = FleetConfig(
+    """simulate_fleet and megafleet, the latter gated at 1M device-days/s."""
+    fleet_cfg = FleetConfig(
         n_nodes=20_000, days=30, crash_rate_per_day=0.02, federation_period=5, seed=0
     )
-    vec_res, vec_s = _timed(simulate_fleet_vectorized, vec_cfg)
+    fleet_res, fleet_s = _timed(simulate_fleet, fleet_cfg)
 
     mega_cfg = preset_config(
         "mixed", 1_000_000, days=30, federation_period=0, report_every=0, seed=0
     )
     mega_res, mega_s = _timed(run_megafleet, mega_cfg)
 
-    def rate(n_nodes, days, seconds):
-        return n_nodes * days / seconds
+    def row(devices, days, seconds):
+        return {
+            "devices": devices,
+            "days": days,
+            "wall_s": round(seconds, 4),
+            "device_days_per_s": round(devices * days / seconds),
+        }
 
     engines = {
-        "loop": {
-            "devices": loop_cfg.n_nodes,
-            "days": loop_cfg.days,
-            "wall_s": round(loop_s, 4),
-            "device_days_per_s": round(rate(loop_cfg.n_nodes, loop_cfg.days, loop_s)),
-        },
-        "vectorized": {
-            "devices": vec_cfg.n_nodes,
-            "days": vec_cfg.days,
-            "wall_s": round(vec_s, 4),
-            "device_days_per_s": round(rate(vec_cfg.n_nodes, vec_cfg.days, vec_s)),
-        },
-        "megafleet": {
-            "devices": mega_cfg.n_devices,
-            "days": mega_cfg.days,
-            "wall_s": round(mega_s, 4),
-            "device_days_per_s": round(rate(mega_cfg.n_devices, mega_cfg.days, mega_s)),
-        },
+        "fleet": row(fleet_cfg.n_nodes, fleet_cfg.days, fleet_s),
+        "megafleet": row(mega_cfg.n_devices, mega_cfg.days, mega_s),
     }
     bench_json(
         "fleet",
@@ -118,15 +101,10 @@ def test_fleet_engine_throughput(bench_json):
         },
     )
 
-    # Sanity: the engines simulate comparable physics (same config for
-    # loop vs vectorized would be bit-equal; that is the golden test's
-    # job — here we only require everyone produced a live fleet).
-    assert loop_res.mean_final_accuracy > 0.5
-    assert vec_res.mean_final_accuracy > 0.5
+    # Sanity: both engines simulated a live fleet.
+    assert fleet_res.mean_final_accuracy > 0.5
     assert mega_res.mean_final_accuracy > 0.5
-    # The ladder must actually be a ladder...
-    assert engines["vectorized"]["device_days_per_s"] > engines["loop"]["device_days_per_s"]
-    # ...and the native engine must clear the million-device gate.
+    # The native engine must clear the million-device gate.
     assert engines["megafleet"]["device_days_per_s"] >= MEGAFLEET_GATE, (
         f"megafleet throughput {engines['megafleet']['device_days_per_s']:,} "
         f"device-days/s below the {MEGAFLEET_GATE:,} gate"

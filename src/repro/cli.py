@@ -43,6 +43,7 @@ import sys
 from . import lab, obs
 from .checkpointing import available_strategies, get_strategy, schedule_cache_info
 from .edge import DEVICE_CATALOG, ODROID_XU4, TrainingWorkload
+from .errors import ReproError
 from .experiments import batch_tradeoff_table, memory_models
 from .studentteacher import PipelineConfig, StudentConfig, run_pipeline
 from .units import MB
@@ -958,14 +959,19 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     trace_path = getattr(args, "trace", None)
-    if trace_path:
-        # --trace FILE on a subcommand: same machinery, chrome format.
-        with obs.tracing() as tracer:
+    try:
+        if trace_path:
+            # --trace FILE on a subcommand: same machinery, chrome format.
+            with obs.tracing() as tracer:
+                out = _dispatch(args)
+            obs.write_chrome_trace(trace_path, tracer, obs.get_metrics())
+            out = out.rstrip("\n") + f"\ntrace written to {trace_path}"
+        else:
             out = _dispatch(args)
-        obs.write_chrome_trace(trace_path, tracer, obs.get_metrics())
-        out = out.rstrip("\n") + f"\ntrace written to {trace_path}"
-    else:
-        out = _dispatch(args)
+    except ReproError as exc:
+        # Bad input is a usage error: argparse's message shape and exit code.
+        sys.stderr.write(f"repro-edge: error: {exc}\n")
+        raise SystemExit(2) from None
     sys.stdout.write(out if out.endswith("\n") else out + "\n")
     return 0
 

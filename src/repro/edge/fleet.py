@@ -29,6 +29,7 @@ counts, lost work and downtime instead of assuming full availability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +52,9 @@ def quantize_effective(effective: np.ndarray) -> np.ndarray:
 
     Effective samples (own harvest + federation-borrowed fraction) are
     fractional; the learning curve is defined on whole images.  Both
-    fleet engines — this legacy loop and :mod:`repro.megafleet` — floor
-    them through this single function before pricing accuracy, so the
-    day-by-day trajectory and the final accuracies cannot quantize
+    fleet engines — :func:`simulate_fleet` and :mod:`repro.megafleet` —
+    floor them through this single function before pricing accuracy, so
+    the day-by-day trajectory and the final accuracies cannot quantize
     differently.  ``np.floor`` is identical to the historical
     ``int(e)`` truncation for the non-negative values that arise here,
     but is defined once and vectorized.
@@ -88,18 +89,26 @@ class FleetConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1 or self.days < 1:
+        # Each check is phrased ``not (valid)`` so NaN fails it.
+        if not (self.n_nodes >= 1 and self.days >= 1):
             raise PlanningError("need n_nodes >= 1 and days >= 1")
+        traffic = (self.crossings_per_day_mean, self.images_per_crossing, self.traffic_shape)
+        if not all(0 < x < math.inf for x in traffic):
+            raise PlanningError("traffic mean, images per crossing and shape must be finite, > 0")
         if not 0.0 <= self.transfer_value <= 1.0:
             raise PlanningError("transfer_value must be in [0, 1]")
-        if self.federation_period < 0:
+        if not (self.federation_period >= 0):
             raise PlanningError("federation_period must be >= 0")
+        if not (self.model_bytes >= 0):
+            raise PlanningError("model_bytes must be >= 0")
         if not 0.0 <= self.crash_rate_per_day < 1.0:
             raise PlanningError("crash_rate_per_day must be in [0, 1)")
-        if self.snapshot_period_days < 1:
+        if not (self.snapshot_period_days >= 1):
             raise PlanningError("snapshot_period_days must be >= 1")
-        if self.outage_days_mean < 0:
-            raise PlanningError("outage_days_mean must be >= 0")
+        if not (0 <= self.outage_days_mean < math.inf):
+            raise PlanningError("outage_days_mean must be finite and >= 0")
+        if not (self.seed >= 0):
+            raise PlanningError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -165,26 +174,30 @@ def simulate_fleet(cfg: FleetConfig) -> FleetResult:
     sits out a geometric outage, then rejoins.  The happy path
     (``crash_rate_per_day == 0``) draws exactly the same random stream
     as before faults existed, so seeded results are unchanged.
+
+    Each day is array expressions over the fleet; only ``node_crash``
+    event emission loops over nodes, and only while a tracer records.
     """
     rng = np.random.default_rng(cfg.seed)
     tracer = get_tracer()
+    n = cfg.n_nodes
     # Per-node mean traffic: Gamma-heterogeneous around the fleet mean.
     scale = cfg.crossings_per_day_mean / cfg.traffic_shape
-    node_rates = rng.gamma(cfg.traffic_shape, scale, size=cfg.n_nodes)
-    own = np.zeros(cfg.n_nodes)
-    borrowed = np.zeros(cfg.n_nodes)
-    snapshotted = np.zeros(cfg.n_nodes)  # harvest as of the last durable write
-    down_until = np.zeros(cfg.n_nodes, dtype=np.int64)  # first day back up
-    crashes = np.zeros(cfg.n_nodes, dtype=np.int64)
-    lost = np.zeros(cfg.n_nodes)
-    downtime = np.zeros(cfg.n_nodes, dtype=np.int64)
+    node_rates = rng.gamma(cfg.traffic_shape, scale, size=n)
+    own = np.zeros(n)
+    borrowed = np.zeros(n)
+    snapshotted = np.zeros(n)  # harvest as of the last durable write
+    down_until = np.zeros(n, dtype=np.int64)  # first day back up
+    crashes = np.zeros(n, dtype=np.int64)
+    lost = np.zeros(n)
+    downtime = np.zeros(n, dtype=np.int64)
     radio = 0
     rounds = 0
     days: list[FleetDay] = []
     with tracer.span(
         "fleet",
         category="campaign",
-        n_nodes=cfg.n_nodes,
+        n_nodes=n,
         days=cfg.days,
         federation_period=cfg.federation_period,
         crash_rate_per_day=cfg.crash_rate_per_day,
@@ -196,37 +209,36 @@ def simulate_fleet(cfg: FleetConfig) -> FleetResult:
             if cfg.crash_rate_per_day:
                 up_idx = np.flatnonzero(up)
                 struck = up_idx[rng.random(up_idx.size) < cfg.crash_rate_per_day]
-                for i in struck:
-                    lost_now = own[i] - snapshotted[i]
-                    lost[i] += lost_now
-                    own[i] = snapshotted[i]
-                    crashes[i] += 1
-                    if cfg.outage_days_mean > 0:
-                        outage = int(rng.geometric(min(1.0, 1.0 / cfg.outage_days_mean)))
-                    else:
-                        outage = 0
-                    down_until[i] = day + 1 + outage
-                    downtime[i] += outage
-                    if tracer.enabled:
-                        tracer.event(
-                            "node_crash",
-                            category="fault",
-                            day=day,
-                            node=int(i),
-                            lost_samples=float(lost_now),
-                            rejoin_day=int(down_until[i]),
-                        )
                 if struck.size:
+                    lost_now = own[struck] - snapshotted[struck]
+                    lost[struck] += lost_now
+                    own[struck] = snapshotted[struck]
+                    crashes[struck] += 1
+                    if cfg.outage_days_mean > 0:
+                        p = min(1.0, 1.0 / cfg.outage_days_mean)
+                        outages = rng.geometric(p, size=struck.size).astype(np.int64)
+                    else:
+                        outages = np.zeros(struck.size, dtype=np.int64)
+                    down_until[struck] = day + 1 + outages
+                    downtime[struck] += outages
+                    if tracer.enabled:
+                        for i, lost_i in zip(struck.tolist(), lost_now.tolist()):
+                            tracer.event(
+                                "node_crash",
+                                category="fault",
+                                day=day,
+                                node=i,
+                                lost_samples=lost_i,
+                                rejoin_day=int(down_until[i]),
+                            )
                     up = down_until <= day
                 # Durable snapshot day: surviving nodes persist their harvest.
                 if day % cfg.snapshot_period_days == 0:
                     snapshotted[up] = own[up]
             if cfg.federation_period and day % cfg.federation_period == 0:
-                total = own.sum()
-                for i in range(cfg.n_nodes):
-                    others_mean = (total - own[i]) / max(1, cfg.n_nodes - 1)
-                    borrowed[i] = cfg.transfer_value * others_mean
-                radio += 2 * cfg.model_bytes * cfg.n_nodes
+                others_mean = (own.sum() - own) / max(1, n - 1)
+                borrowed = cfg.transfer_value * others_mean
+                radio += 2 * cfg.model_bytes * n
                 rounds += 1
                 if tracer.enabled:
                     tracer.event(

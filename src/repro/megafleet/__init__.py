@@ -2,16 +2,14 @@
 
 The paper frames edge training as a *fleet* problem — Array-of-Things
 nodes with duty cycles, crash/rejoin dynamics and communication budgets
-— and the ROADMAP's north star is "millions of users".  The legacy
-:func:`~repro.edge.fleet.simulate_fleet` walks every node every day in
-Python; this package scales the same model up three ways:
+— and the ROADMAP's north star is "millions of users".
+:func:`~repro.edge.fleet.simulate_fleet` keeps the seeded per-node
+stream of ``repro fleet`` (Poisson harvest jitter and all); this
+package is the second engine, with its own semantics, built to scale:
 
-* :mod:`~repro.megafleet.compat` — the legacy engine vectorized with an
-  *identical* RNG stream (golden-tested bit-exact), for apples-to-
-  apples validation and benchmarking;
-* :mod:`~repro.megafleet.engine` — the native engine: struct-of-arrays
-  state, closed-form harvest accrual between events, a day-bucketed
-  event heap (quiet days are free), heterogeneous
+* :mod:`~repro.megafleet.engine` — struct-of-arrays state, closed-form
+  harvest accrual between events, a day-bucketed event heap (quiet
+  days are free), heterogeneous
   :class:`~repro.megafleet.config.DeviceCohort` mixes, and
   deterministic process sharding through the lab pool;
 * :mod:`~repro.megafleet.rng` — counter-based per-device random
@@ -22,7 +20,6 @@ See ``docs/megafleet.md`` for the architecture and the determinism
 contract.
 """
 
-from .compat import simulate_fleet_vectorized
 from .config import (
     DeviceCohort,
     MegaFleetConfig,
@@ -56,5 +53,4 @@ __all__ = [
     "preset_config",
     "run_megafleet",
     "shard_tasks",
-    "simulate_fleet_vectorized",
 ]

@@ -16,6 +16,7 @@ unique and renaming a cohort reseeds it.  Reordering cohorts does not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..errors import PlanningError
@@ -86,9 +87,10 @@ class DeviceCohort:
     outage_days_mean: float = 1.0
 
     def __post_init__(self) -> None:
+        # Each check is phrased ``not (valid)`` so NaN fails it.
         if not self.name:
             raise PlanningError("cohort needs a name (it seeds the RNG)")
-        if self.count < 1:
+        if not (self.count >= 1):
             raise PlanningError(f"cohort {self.name!r}: count must be >= 1")
         if self.model_depth not in MODEL_DEPTHS:
             raise PlanningError(
@@ -100,18 +102,19 @@ class DeviceCohort:
                 f"cohort {self.name!r}: unknown storage {self.storage!r} "
                 f"(have: {sorted(STORAGE_PROFILES)})"
             )
-        if self.crossings_per_day_mean <= 0 or self.images_per_crossing <= 0:
-            raise PlanningError(f"cohort {self.name!r}: traffic rates must be positive")
-        if self.traffic_shape < 1:
+        rates = (self.crossings_per_day_mean, self.images_per_crossing)
+        if not all(0 < r < math.inf for r in rates):
+            raise PlanningError(f"cohort {self.name!r}: traffic rates must be finite and > 0")
+        if not (1 <= self.traffic_shape < math.inf):
             raise PlanningError(f"cohort {self.name!r}: traffic_shape must be >= 1")
         if not 0.0 < self.duty_cycle <= 1.0:
             raise PlanningError(f"cohort {self.name!r}: duty_cycle must be in (0, 1]")
-        if self.mtbf_days < 0:
+        if not (self.mtbf_days >= 0):
             raise PlanningError(f"cohort {self.name!r}: mtbf_days must be >= 0")
-        if self.snapshot_period_days < 1:
+        if not (self.snapshot_period_days >= 1):
             raise PlanningError(f"cohort {self.name!r}: snapshot_period_days must be >= 1")
-        if self.outage_days_mean < 0:
-            raise PlanningError(f"cohort {self.name!r}: outage_days_mean must be >= 0")
+        if not (0 <= self.outage_days_mean < math.inf):
+            raise PlanningError(f"cohort {self.name!r}: outage_days_mean must be finite, >= 0")
 
     @property
     def storage_profile(self) -> StorageProfile:

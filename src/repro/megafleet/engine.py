@@ -12,8 +12,8 @@ Harvest here is the *expected* daily yield per device (rates stay
 random across devices via the counter-based RNG; the day-to-day Poisson
 jitter of the legacy engine is integrated out).  That is what makes
 closed-form accrual — and therefore event-driven skipping — possible.
-The legacy stream, Poisson noise and all, lives on bit-exactly in
-:mod:`repro.megafleet.compat`.
+The seeded stream, Poisson noise and all, is
+:func:`repro.edge.fleet.simulate_fleet`.
 
 Determinism contract (what makes ``--jobs 1`` == ``--jobs 2`` byte-for-
 byte, for any shard size):

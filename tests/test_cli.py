@@ -156,10 +156,30 @@ class TestExtensionCommands:
         assert run(capsys, "disk-revolve", *argv) == expected
 
     def test_disk_revolve_rejects_nan_cost(self, capsys):
-        from repro.errors import ScheduleError
-
-        with pytest.raises(ScheduleError):
+        with pytest.raises(SystemExit) as exc:
             main(["disk-revolve", "--length", "10", "--mem-slots", "2", "--disk-cost", "nan"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro-edge: error: disk costs must be non-negative\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        (
+            (("fleet", "--nodes", "0"), "need n_nodes >= 1 and days >= 1"),
+            (("fleet", "--crash-rate", "nan"), "crash_rate_per_day must be in [0, 1)"),
+            (
+                ("run", "table1", "--param", "source=bogus"),
+                "param 'source': 'bogus' not in ['ours', 'paper']",
+            ),
+        ),
+        ids=("fleet-nodes0", "fleet-crash-nan", "run-bad-param-value"),
+    )
+    def test_bad_input_exits_2_without_traceback(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"repro-edge: error: {message}\n"
 
     def test_campaign(self, capsys):
         out = run(capsys, "campaign", "--crossings", "200", "--target", "0.8")
@@ -199,6 +219,30 @@ class TestExtensionCommands:
             "--crash-rate", "0.1", "--seed", "3",
         )
         assert "faults" in out and "crashes" in out and "samples lost" in out
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        (
+            (
+                (),
+                "Fleet of 10 nodes over 30 days (transfer value 0.15, seed 0):\n"
+                "  isolated : mean 0.943  worst 0.711  radio 0.0 GB\n"
+                "  federated: mean 0.967  worst 0.938  radio 5.6 GB (period 5 days)\n",
+            ),
+            (
+                ("--nodes", "6", "--days", "30", "--crash-rate", "0.05",
+                 "--period", "3", "--seed", "2"),
+                "Fleet of 6 nodes over 30 days (transfer value 0.15, seed 2):\n"
+                "  isolated : mean 0.970  worst 0.970  radio 0.0 GB\n"
+                "  federated: mean 0.970  worst 0.970  radio 5.6 GB (period 3 days)\n"
+                "  faults   : rate 0.050/node/day -> 10 crashes, 21366 samples lost, "
+                "10 node-days down (isolated run)\n",
+            ),
+        ),
+        ids=("defaults", "n6-crash0.05-p3-s2"),
+    )
+    def test_fleet_output_pinned(self, capsys, argv, expected):
+        assert run(capsys, "fleet", *argv) == expected
 
 
 class TestMegafleet:

@@ -1,6 +1,7 @@
 """Native megafleet engine: determinism contract, RNG, events, presets."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -286,6 +287,17 @@ class TestPresetsAndValidation:
             dict(mtbf_days=-1.0),
             dict(snapshot_period_days=0),
             dict(outage_days_mean=-0.1),
+            # NaN slipped past the old ``x < 0``-style checks
+            # (``mtbf_days=nan`` silently meant a crash-free cohort).
+            dict(mtbf_days=math.nan),
+            dict(crossings_per_day_mean=math.nan),
+            dict(outage_days_mean=math.nan),
+            dict(images_per_crossing=math.nan),
+            dict(crossings_per_day_mean=math.inf),
+            dict(outage_days_mean=math.inf),
+            dict(count=math.nan),
+            dict(snapshot_period_days=math.nan),
+            dict(traffic_shape=math.nan),
         ],
     )
     def test_cohort_validation(self, kw):
