@@ -40,8 +40,16 @@ SCHEDULES = {
 }
 
 
+@pytest.fixture(scope="module")
+def steps_file(outdir):
+    """``autodiff_steps.txt``, emptied once per run; each case appends its line."""
+    path = outdir / "autodiff_steps.txt"
+    path.write_text("")
+    return path
+
+
 @pytest.mark.parametrize("name", list(SCHEDULES))
-def test_training_step(name, benchmark, outdir):
+def test_training_step(name, benchmark, steps_file):
     net, x, y = build()
     sch = SCHEDULES[name]()
     res = benchmark(lambda: run_schedule(net, sch, x, y))
@@ -56,7 +64,7 @@ def test_training_step(name, benchmark, outdir):
         f"{name}: peak_bytes={res.peak_bytes} forward_steps={res.forward_steps} "
         f"replays={res.replay_steps}\n"
     )
-    with open(outdir / "autodiff_steps.txt", "a") as fh:
+    with open(steps_file, "a") as fh:
         fh.write(line)
 
 

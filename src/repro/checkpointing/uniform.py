@@ -13,7 +13,7 @@ slots this strategy holds at peak is
 batch itself) plus the fully-stored last segment — minimized near
 ``s = √l`` with lower bound ``2√l``.  Revolve reaches logarithmic memory
 at bounded overhead instead: the paper's Section VI comparison, measured
-in ``benchmarks/bench_ablation_strategies.py``.
+by ``repro-edge ablation`` (asserted in ``tests/test_experiments_ablation.py``).
 
 Two recompute counts are provided:
 

@@ -5,26 +5,29 @@ Usage (installed as both the ``repro-edge`` and ``repro`` scripts)::
     repro-edge table1 [--source ours|paper] [--csv | --compare]
     repro-edge table2 | table3 | section5 | sensitivity | extended
     repro-edge figure1 [--panel a|b|c|d] [--source ours|paper] [--csv]
-    repro-edge ablation [--strategy revolve --strategy sqrt ...]
+    repro-edge ablation [--strategy revolve --strategy sqrt ...] | summary
+    repro-edge disk-revolve [--length 152] [--mem-slots 3] [--disk-cost inf]
+    repro-edge viewpoint [--subjects 120] [--format json]
+    repro-edge megafleet --devices 200000 --jobs 2
     repro-edge list                         # registered experiment specs
     repro-edge show figure1                 # params, renderers, cache key
     repro-edge run figure1 --param panel=d --format csv
     repro-edge all --jobs 4 [--force] [--manifest-check] [--telemetry]
     repro-edge obs report artifacts [--json] [--chrome-trace merged.json]
-    repro-edge summary
     repro-edge strategies [--length 24] [--budget 6]
     repro-edge exec [--strategy disk_revolve --backend tiered --trace t.json]
-    repro-edge batch-tradeoff [--model 50] [--device ODROID-XU4]
-    repro-edge viewpoint [--subjects 120]
     repro-edge trace figure1 --out trace.json   # any command, traced
 
-Experiment subcommands (``table1`` ... ``summary``) are generated from
-the :mod:`repro.lab` registry: each registered spec becomes a command
-whose flags mirror the spec's typed params.  ``all`` runs every default
-unit through the content-addressed artifact cache — a second run into
-the same ``--outdir`` recomputes nothing — and ``trace`` wraps any
-other subcommand in the :mod:`repro.obs` tracer and writes the
-exported trace (Chrome ``trace_event`` JSON by default — open it in
+Every experiment command (the paper artifacts ``table1`` ... ``summary``
+and the edge analyses ``profile`` ... ``viewpoint``) is generated from
+the :mod:`repro.lab` registry: each spec becomes a command whose flags
+mirror its typed params, plus ``--format`` and ``--trace``; only
+``megafleet`` adds ``--jobs``/``--shard-devices``, which never reach
+the cache key.  ``all`` runs every default unit through the
+content-addressed artifact cache — a second run into the same
+``--outdir`` recomputes nothing — and ``trace`` wraps any other
+subcommand in the :mod:`repro.obs` tracer and writes the exported
+trace (Chrome ``trace_event`` JSON by default — open it in
 chrome://tracing or https://ui.perfetto.dev).
 
 ``--telemetry`` on ``all``/``run`` records per-unit runlogs (worker
@@ -42,11 +45,8 @@ import sys
 
 from . import lab, obs
 from .checkpointing import available_strategies, get_strategy, schedule_cache_info
-from .edge import DEVICE_CATALOG, ODROID_XU4, TrainingWorkload
 from .errors import ReproError
-from .experiments import batch_tradeoff_table, memory_models
-from .studentteacher import PipelineConfig, StudentConfig, run_pipeline
-from .units import MB
+from .experiments import run_megafleet_payload  # importing registers every lab spec
 
 __all__ = ["main", "build_parser"]
 
@@ -82,8 +82,6 @@ def _add_experiment_parsers(sub: argparse._SubParsersAction) -> None:
         )
         sp.add_argument("--trace", metavar="FILE", help="write a Chrome-trace of the run to FILE")
         if name == "megafleet":
-            # The megafleet spec additionally takes execution knobs the
-            # cache key must never see: they shard the same computation.
             sp.add_argument(
                 "--jobs", type=int, default=1,
                 help="worker processes for device shards (default: 1)",
@@ -132,18 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=6, help="checkpoint slot budget c")
     sp.add_argument("--bwd-ratio", type=float, default=1.0, help="backward/forward cost ratio")
 
-    sp = sub.add_parser("profile", help="per-layer memory profile of a zoo model")
-    sp.add_argument("--model", type=int, choices=(18, 34, 50, 101, 152), default=50)
-    sp.add_argument("--top", type=int, default=8)
-
-    sp = sub.add_parser("pareto", help="memory/recompute Pareto frontier of a chain")
-    sp.add_argument("--length", type=int, default=152)
-
-    sp = sub.add_parser("disk-revolve", help="two-level (memory+SD) checkpointing plan")
-    sp.add_argument("--length", type=int, default=152)
-    sp.add_argument("--mem-slots", type=int, default=3)
-    sp.add_argument("--disk-cost", type=float, default=1.0, help="I/O cost in forward units")
-
     sp = sub.add_parser(
         "exec",
         help="execute a strategy's schedule on an engine backend (sim/tensor/tiered)",
@@ -177,47 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the schedule's compiled program IR (opcodes, costs, digest)",
     )
-    sp.add_argument("--trace", metavar="FILE", help="write a Chrome-trace of the run to FILE")
-
-    sp = sub.add_parser("campaign", help="in-situ adaptation campaign simulation")
-    sp.add_argument("--crossings", type=float, default=60.0)
-    sp.add_argument("--target", type=float, default=0.9)
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = sub.add_parser("fleet", help="multi-node federation cost/benefit")
-    sp.add_argument("--nodes", type=int, default=10)
-    sp.add_argument("--days", type=int, default=30)
-    sp.add_argument("--period", type=int, default=5, help="federation period (0=isolated)")
-    sp.add_argument("--transfer", type=float, default=0.15)
-    sp.add_argument("--crash-rate", type=float, default=0.0, help="per-node daily crash probability")
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = sub.add_parser(
-        "resilience",
-        help="fault tolerance: expected makespan + Young/Daly snapshot-interval sweep",
-    )
-    sp.add_argument("--mtbf-hours", type=float, default=12.0, help="mean time between failures")
-    sp.add_argument("--work-hours", type=float, default=24.0, help="fault-free compute to finish")
-    sp.add_argument("--snapshot-mb", type=float, default=50.0, help="durable snapshot payload size")
-    sp.add_argument("--storage", choices=("sd-card", "emmc"), default="sd-card")
-    sp.add_argument("--restart-s", type=float, default=60.0, help="reboot cost per crash")
-    sp.add_argument("--trials", type=int, default=40, help="Monte-Carlo trials per interval")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trace", metavar="FILE", help="write a Chrome-trace of the run to FILE")
-
-    sp = sub.add_parser("energy", help="ship-vs-local energy breakevens")
-    sp.add_argument("--image-kb", type=float, default=10.0)
-    sp.add_argument("--gflops", type=float, default=3.6, help="per-sample forward GFLOPs")
-
-    sp = sub.add_parser("batch-tradeoff", help="batch-size vs epoch-time sweep")
-    sp.add_argument("--model", type=int, choices=(18, 34, 50, 101, 152), default=50)
-    sp.add_argument("--device", choices=sorted(DEVICE_CATALOG), default=ODROID_XU4.name)
-    sp.add_argument("--images", type=int, default=10_000)
-
-    sp = sub.add_parser("viewpoint", help="Section III student-teacher pipeline")
-    sp.add_argument("--subjects", type=int, default=120)
-    sp.add_argument("--epochs", type=int, default=30)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trace", metavar="FILE", help="write a Chrome-trace of the run to FILE")
 
     sp = sub.add_parser(
@@ -292,7 +237,13 @@ def _experiment_command(args: argparse.Namespace) -> str:
             fmt = "csv"
         else:
             fmt = "ascii"
-    payload = lab.compute_payload(args.command, params)
+    if args.command == "megafleet":
+        # Same payload as the cached spec, sharded by knobs the key never sees.
+        payload = run_megafleet_payload(
+            params, jobs=args.jobs, shard_devices=args.shard_devices
+        )
+    else:
+        payload = lab.compute_payload(args.command, params)
     return spec.renderers[fmt](payload)
 
 
@@ -445,89 +396,6 @@ def _strategies(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _batch_tradeoff(args: argparse.Namespace) -> str:
-    from .zoo import build_resnet
-
-    model = memory_models()[args.model]
-    device = DEVICE_CATALOG[args.device]
-    workload = TrainingWorkload(
-        model=model.name,
-        chain_length=args.model,
-        slot_act_bytes_per_sample=model.account_ref.act_bytes_per_sample // args.model,
-        fixed_bytes=model.fixed_bytes,
-        flops_per_sample=float(build_resnet(args.model).total_flops_per_sample()),
-        n_images=args.images,
-    )
-    return batch_tradeoff_table(workload, device).render()
-
-
-def _viewpoint(args: argparse.Namespace) -> str:
-    cfg = PipelineConfig(
-        n_subjects=args.subjects,
-        camera_skew_deg=60.0,
-        angle_bins=(15.0, 30.0, 45.0, 60.0),
-        student=StudentConfig(epochs=args.epochs),
-        seed=args.seed,
-    )
-    res = run_pipeline(cfg)
-    footer = (
-        f"\nskew-angle recovery: {res.skew_recovery:+.3f}\n"
-        f"harvested-set storage at 10 kB/image: {res.storage_bytes_needed / MB:.1f} MB"
-    )
-    return res.summary() + footer
-
-
-def _profile(args: argparse.Namespace) -> str:
-    from .memory import memory_profile
-    from .zoo import build_resnet
-
-    return memory_profile(build_resnet(args.model)).render(args.top)
-
-
-def _pareto(args: argparse.Namespace) -> str:
-    from .checkpointing import pareto_frontier
-
-    lines = [
-        f"Memory/recompute Pareto frontier, chain length {args.length}",
-        f"{'slots':>6}{'extra fwd':>11}{'repeats':>9}{'rho(bwd=fwd)':>14}",
-    ]
-    pts = pareto_frontier(args.length)
-    shown = pts if len(pts) <= 30 else pts[:15] + pts[-15:]
-    for p in shown:
-        lines.append(
-            f"{p.slots:>6}{p.extra_forwards:>11}{p.repetition:>9}"
-            f"{p.rho(args.length):>14.3f}"
-        )
-    if len(pts) > 30:
-        lines.insert(17, f"{'...':>6} ({len(pts) - 30} points elided)")
-    return "\n".join(lines)
-
-
-def _disk_revolve(args: argparse.Namespace) -> str:
-    from .checkpointing import (
-        ChainSpec,
-        disk_revolve_cost,
-        disk_revolve_schedule,
-        opt_forwards,
-    )
-    from .engine import TieredBackend, execute
-
-    l, c, d = args.length, args.mem_slots, args.disk_cost
-    sch = disk_revolve_schedule(l, c, d, d)
-    run = execute(sch, TieredBackend(ChainSpec.homogeneous(l)))
-    disk = run.tier("disk")
-    mem_only = opt_forwards(l, c)
-    return (
-        f"Two-level checkpointing: l={l}, memory slots={c}, disk I/O cost={d}\n"
-        f"  memory-only Revolve cost : {mem_only}\n"
-        f"  two-level optimal cost   : {disk_revolve_cost(l, c, d, d):.1f}\n"
-        f"  disk checkpoints         : {disk.writes} "
-        f"(peak {disk.peak_slots} resident)\n"
-        f"  peak memory slots        : {run.tier('memory').peak_slots}\n"
-        f"  pure forward steps       : {run.forward_steps}"
-    )
-
-
 def _exec(args: argparse.Namespace) -> str:
     """Run one strategy's schedule through a chosen engine backend."""
     from .checkpointing import ChainSpec
@@ -567,7 +435,6 @@ def _exec(args: argparse.Namespace) -> str:
         import numpy as np
 
         from .engine import OPCODE_NAMES
-        from .units import KB
 
         program = sch.program
         spec = ChainSpec.homogeneous(l, act_bytes=int(args.act_kb * KB))
@@ -674,175 +541,6 @@ def _exec(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _campaign(args: argparse.Namespace) -> str:
-    from .edge import CampaignConfig, ODROID_XU4, TrainingWorkload, run_campaign
-
-    workload = TrainingWorkload(
-        model="student",
-        chain_length=18,
-        slot_act_bytes_per_sample=2 * MB,
-        fixed_bytes=180 * MB,
-        flops_per_sample=3.6e9,
-        n_images=1,
-        batch_size=8,
-    )
-    cfg = CampaignConfig(
-        workload=workload,
-        target_accuracy=args.target,
-        crossings_per_day=args.crossings,
-        seed=args.seed,
-    )
-    res = run_campaign(cfg, ODROID_XU4)
-    lines = [
-        f"In-situ campaign on {ODROID_XU4.name}: {args.crossings:.0f} crossings/day, "
-        f"target {args.target:.2f}",
-        f"{'day':>4}{'harvested':>11}{'accuracy':>10}{'train h':>9}",
-    ]
-    for d in res.days:
-        lines.append(
-            f"{d.day:>4}{d.harvested_total:>11}{d.accuracy:>10.3f}"
-            f"{d.train_wall_s / 3600:>9.1f}"
-        )
-    verdict = (
-        f"target reached on day {res.target_day}"
-        if res.reached_target
-        else "target NOT reached"
-    )
-    lines.append(f"{verdict}; storage used {res.storage_bytes / MB:.1f} MB")
-    return "\n".join(lines)
-
-
-def _megafleet(args: argparse.Namespace) -> str:
-    """``megafleet``: the registry spec plus --jobs/--shard-devices.
-
-    Same params and renderers as ``run megafleet``, but computed
-    through the sharded engine directly so the process fan-out knobs
-    are available; the output is byte-identical for any jobs/shard
-    choice (the engine's determinism contract).
-    """
-    from .experiments import run_megafleet_payload
-
-    spec = lab.get_spec("megafleet")
-    given = {
-        p.name: getattr(args, f"p_{p.name}")
-        for p in spec.params
-        if getattr(args, f"p_{p.name}") is not None
-    }
-    params = spec.validate_params(given)
-    payload = run_megafleet_payload(
-        params, jobs=args.jobs, shard_devices=args.shard_devices
-    )
-    fmt = args.fmt
-    if fmt is None:
-        fmt = "csv" if getattr(args, "csv", False) else "ascii"
-    return spec.renderers[fmt](payload)
-
-
-def _fleet(args: argparse.Namespace) -> str:
-    from .edge import FleetConfig, simulate_fleet
-    from .units import GB
-
-    iso = simulate_fleet(
-        FleetConfig(
-            n_nodes=args.nodes,
-            days=args.days,
-            federation_period=0,
-            crash_rate_per_day=args.crash_rate,
-            seed=args.seed,
-        )
-    )
-    fed = simulate_fleet(
-        FleetConfig(
-            n_nodes=args.nodes,
-            days=args.days,
-            federation_period=args.period,
-            transfer_value=args.transfer,
-            crash_rate_per_day=args.crash_rate,
-            seed=args.seed,
-        )
-    )
-    out = (
-        f"Fleet of {args.nodes} nodes over {args.days} days "
-        f"(transfer value {args.transfer}, seed {args.seed}):\n"
-        f"  isolated : mean {iso.mean_final_accuracy:.3f}  "
-        f"worst {iso.worst_final_accuracy:.3f}  radio 0.0 GB\n"
-        f"  federated: mean {fed.mean_final_accuracy:.3f}  "
-        f"worst {fed.worst_final_accuracy:.3f}  "
-        f"radio {fed.radio_bytes_total / GB:.1f} GB (period {args.period} days)"
-    )
-    if args.crash_rate > 0:
-        out += (
-            f"\n  faults   : rate {args.crash_rate:.3f}/node/day -> "
-            f"{iso.total_crashes} crashes, "
-            f"{iso.total_lost_samples:.0f} samples lost, "
-            f"{sum(iso.downtime_days)} node-days down (isolated run)"
-        )
-    return out
-
-
-def _resilience(args: argparse.Namespace) -> str:
-    from .edge.storage import EMMC, SD_CARD
-    from .resilience import overhead_vs_fault_rate, sweep_intervals, young_daly_interval
-
-    storage = {"sd-card": SD_CARD, "emmc": EMMC}[args.storage]
-    snapshot_bytes = int(args.snapshot_mb * MB)
-    delta = storage.write_seconds(snapshot_bytes)
-    mtbf = args.mtbf_hours * 3600.0
-    work = args.work_hours * 3600.0
-    tau = young_daly_interval(mtbf, delta)
-    sweep = sweep_intervals(
-        work, delta, args.restart_s, mtbf, trials=args.trials, seed=args.seed
-    )
-    lines = [
-        f"Resilience planner ({args.storage}, seed {args.seed}):",
-        f"  snapshot payload   : {args.snapshot_mb:.0f} MB -> "
-        f"delta = {delta:.2f} s per durable write",
-        f"  Young/Daly optimum : tau* = sqrt(2*delta*MTBF) = {tau:.1f} s "
-        f"at MTBF {args.mtbf_hours:g} h",
-        "",
-        sweep.render(),
-        "",
-        f"Overhead vs fault rate ({args.work_hours:g} h of work, "
-        f"snapshotting at each rate's tau*):",
-        f"{'MTBF h':>8}{'tau* s':>9}{'predicted':>11}{'measured':>10}",
-    ]
-    for row in overhead_vs_fault_rate(
-        work,
-        delta,
-        args.restart_s,
-        (mtbf / 4, mtbf, 4 * mtbf),
-        trials=args.trials,
-        seed=args.seed,
-    ):
-        lines.append(
-            f"{row.mtbf_seconds / 3600:>8.2f}{row.tau_star_seconds:>9.1f}"
-            f"{row.predicted_overhead:>10.1%}{row.measured_overhead:>10.1%}"
-        )
-    return "\n".join(lines)
-
-
-def _energy(args: argparse.Namespace) -> str:
-    from .edge import EnergyModel, breakeven_epochs, streaming_comparison
-
-    model = EnergyModel()
-    image_bytes = int(args.image_kb * 1024)
-    flops = args.gflops * 1e9
-    be_plain = breakeven_epochs(image_bytes, flops, model=model, rho=1.0)
-    be_ckpt = breakeven_epochs(image_bytes, flops, model=model, rho=1.5)
-    stream = streaming_comparison(1.0, 20 * image_bytes, flops, model=model)
-    return (
-        f"Energy model: {model.radio_j_per_byte * 1e6:.1f} uJ/B radio, "
-        f"{model.compute_j_per_flop * 1e9:.2f} nJ/FLOP compute\n"
-        f"Training ({args.image_kb:.0f} kB images, {args.gflops:.1f} GFLOP fwd/sample):\n"
-        f"  local-vs-ship breakeven: {be_plain:.4f} epochs (rho=1), "
-        f"{be_ckpt:.4f} (rho=1.5)\n"
-        f"Streaming inference (1 fps, raw-ish {20 * args.image_kb:.0f} kB frames, 1 day):\n"
-        f"  ship {stream.ship_joules / 1000:.1f} kJ vs local "
-        f"{stream.local_joules / 1000:.1f} kJ -> "
-        f"{'local' if stream.local_wins else 'ship'} wins"
-    )
-
-
 def _trace_probe() -> None:
     """A miniature traced training run anchoring every core span category.
 
@@ -932,27 +630,15 @@ _HANDLERS = {
     "run": _run,
     "all": _all,
     "strategies": _strategies,
-    "profile": _profile,
-    "pareto": _pareto,
-    "disk-revolve": _disk_revolve,
     "exec": _exec,
-    "campaign": _campaign,
-    "fleet": _fleet,
-    "megafleet": _megafleet,
-    "resilience": _resilience,
-    "energy": _energy,
-    "batch-tradeoff": _batch_tradeoff,
-    "viewpoint": _viewpoint,
     "trace": lambda a: _trace(a.args),
     "obs": _obs,
 }
 
 
 def _dispatch(args: argparse.Namespace) -> str:
-    handler = _HANDLERS.get(args.command)
-    if handler is not None:
-        return handler(args)
-    return _experiment_command(args)  # registry-generated spec command
+    # Anything without a hand-written handler is a registry-generated spec.
+    return _HANDLERS.get(args.command, _experiment_command)(args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,4 +1,5 @@
-"""Paper-artifact generators: Tables I-III, Section V, Figure 1, ablations.
+"""Paper-artifact generators: Tables I-III, Section V, Figure 1, ablations,
+and the edge analyses behind the remaining experiment commands.
 
 Importing this package registers every artifact family with
 :mod:`repro.lab` (import order below fixes the registration order,
@@ -43,6 +44,7 @@ from .sensitivity import (
 from .extended import ExtendedRow, extended_model_rows, extended_model_table
 from .megafleet import megafleet_ascii, megafleet_csv, run_megafleet_payload
 from .summary import SUMMARY_DEPS
+from . import commands  # noqa: F401  (registers the edge-analysis specs)
 
 __all__ = [
     "Table",

@@ -8,8 +8,8 @@ cannot change a byte — the payload is safely cacheable under the
 lab's ``(spec, params, code)`` key; execution knobs deliberately do
 not appear among the params.
 
-The CLI's hand-written ``megafleet`` command (which adds ``--jobs`` /
-``--shard-devices``) renders through this module's renderers, so the
+``repro megafleet`` adds ``--jobs`` / ``--shard-devices`` to the
+generated flags and renders through this module's renderers, so the
 one-off and the cached path produce identical text.
 """
 

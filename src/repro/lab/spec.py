@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -65,15 +66,16 @@ class Param:
         if self.repeated:
             if isinstance(value, (str, bytes)):
                 raise LabError(f"param {self.name!r} expects a sequence, got {value!r}")
-            out = tuple(self.type(v) for v in value)
-            if self.choices is not None:
-                for v in out:
-                    if v not in self.choices:
-                        raise LabError(
-                            f"param {self.name!r}: {v!r} not in {sorted(self.choices)}"
-                        )
-            return out
+            return tuple(self._coerce_one(v) for v in value)
+        return self._coerce_one(value)
+
+    def _coerce_one(self, value: Any) -> Any:
         coerced = self.type(value)
+        # NaN passes every comparison-based range check downstream; inf
+        # stays legal (disk-revolve reads an infinite disk cost as "never
+        # page").
+        if self.type is float and math.isnan(coerced):
+            raise LabError(f"param {self.name!r} must not be NaN")
         if self.choices is not None and coerced not in self.choices:
             raise LabError(
                 f"param {self.name!r}: {coerced!r} not in {sorted(self.choices)}"

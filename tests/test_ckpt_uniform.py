@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.checkpointing import (
     best_segments,
@@ -56,6 +56,11 @@ class TestFormula:
         assert uniform_memory_slots(20, 20) == 20  # every input stored
 
     @given(l=st.integers(1, 300))
+    @example(l=18)  # the paper's ResNet depths, always checked
+    @example(l=34)
+    @example(l=50)
+    @example(l=101)
+    @example(l=152)
     @settings(max_examples=150, deadline=None)
     def test_lower_bound_2sqrt_l(self, l):
         """min_s Mem(l, s) stays within O(1) of the paper's 2√l bound."""

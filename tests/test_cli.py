@@ -149,8 +149,17 @@ class TestExtensionCommands:
                 "  peak memory slots        : 3\n"
                 "  pure forward steps       : 151\n",
             ),
+            (
+                ("--length", "20", "--mem-slots", "2", "--disk-cost", "inf"),
+                "Two-level checkpointing: l=20, memory slots=2, disk I/O cost=inf\n"
+                "  memory-only Revolve cost : 65\n"
+                "  two-level optimal cost   : 65.0\n"
+                "  disk checkpoints         : 0 (peak 0 resident)\n"
+                "  peak memory slots        : 2\n"
+                "  pure forward steps       : 65\n",
+            ),
         ),
-        ids=("l50-c2", "l152-c3-d0.25"),
+        ids=("l50-c2", "l152-c3-d0.25", "l20-c2-never-page"),
     )
     def test_disk_revolve_output_pinned(self, capsys, argv, expected):
         assert run(capsys, "disk-revolve", *argv) == expected
@@ -160,20 +169,29 @@ class TestExtensionCommands:
             main(["disk-revolve", "--length", "10", "--mem-slots", "2", "--disk-cost", "nan"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err == "repro-edge: error: disk costs must be non-negative\n"
+        assert captured.err == "repro-edge: error: param 'disk_cost' must not be NaN\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv,message",
         (
             (("fleet", "--nodes", "0"), "need n_nodes >= 1 and days >= 1"),
-            (("fleet", "--crash-rate", "nan"), "crash_rate_per_day must be in [0, 1)"),
+            (("fleet", "--crash-rate", "nan"), "param 'crash_rate' must not be NaN"),
+            (("energy", "--gflops", "nan"), "param 'gflops' must not be NaN"),
+            (("campaign", "--crossings", "nan"), "param 'crossings' must not be NaN"),
+            (
+                ("resilience", "--mtbf-hours", "nan", "--trials", "3"),
+                "param 'mtbf_hours' must not be NaN",
+            ),
             (
                 ("run", "table1", "--param", "source=bogus"),
                 "param 'source': 'bogus' not in ['ours', 'paper']",
             ),
         ),
-        ids=("fleet-nodes0", "fleet-crash-nan", "run-bad-param-value"),
+        ids=(
+            "fleet-nodes0", "fleet-crash-nan", "energy-gflops-nan",
+            "campaign-crossings-nan", "resilience-mtbf-nan", "run-bad-param-value",
+        ),
     )
     def test_bad_input_exits_2_without_traceback(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -243,6 +261,67 @@ class TestExtensionCommands:
     )
     def test_fleet_output_pinned(self, capsys, argv, expected):
         assert run(capsys, "fleet", *argv) == expected
+
+
+class TestSpecCommands:
+    """The edge-analysis commands are lab specs with their old stdout."""
+
+    #: sha256 of stdout captured from the hand-written handlers these
+    #: specs replaced, at defaults and at one non-default flag set.
+    STDOUT_SHA256 = {
+        "profile": "63875d565cbf593480d155c7b0c95821ee03269dcce2d4ac475893e837f48745",
+        "profile --model 18 --top 4":
+            "b14dc6c7f7598ce2202f6858e9893d6d9a1867dbe2df73b8f29cb063c0b170f8",
+        "pareto": "0a6c082a05479167639a6997c6b5ac53b0d29be17163ae99008bbd0ea7950389",
+        "pareto --length 50":
+            "f1a4542dda30280f8fc0c10fc092abafb8b983646b6b598017928f51e56f6a14",
+        "disk-revolve": "8f3606c60e8fc375db38bf85da8e56dea2f6f813b1989c8c44d1016f09a7314e",
+        "campaign": "bb7c1eee051deadacea93e29a61d5ba78c88ca2ec47707bb6d66bc5578b69ca7",
+        "campaign --crossings 200 --target 0.8 --seed 1":
+            "194a5a96d407d1909896d614254654091fe3207d55bf4d85f72d625020e31232",
+        "resilience": "eda54ea15cdf2a1af5b8e8a293e88cad7d92a5ab8f5faa2d370c0af1d7883d2a",
+        "resilience --mtbf-hours 6 --work-hours 12 --snapshot-mb 20 --storage emmc "
+        "--restart-s 30 --trials 5 --seed 2":
+            "5d4f388b63070ddbc37a4d2bd5635f57fb33a37cb8418f31044576a2d1317cf4",
+        "energy": "2a9aa80bb6c83b337dda06d499647aacb7cfc456be596d3c9fae54103de05064",
+        "energy --image-kb 20 --gflops 1.5":
+            "e1bb0714bdc5bb1aeb09154613bf61ec70191ac1027a9b334ddc3874f4f661b6",
+        "batch-tradeoff": "37f13d226cca3a912dbc765b9dd3e3001b676889a3ef0caed74882071d97d05d",
+        "batch-tradeoff --model 18 --device RaspberryPi4 --images 1000":
+            "fbafe76454518f72cc3cbd796ef7f3ea80b57ddfeef7cadc979a815995b83a13",
+        "viewpoint --subjects 20 --epochs 3":
+            "9a6d358ccd276ff9cfff720d1a48b8741f3ffb54747523180d756326fe9ef4b5",
+        "viewpoint --subjects 20 --epochs 3 --seed 1":
+            "8035d209fc9ad85353e8fcfb524f2e81361ac0ddd7db8a138ad5fe12ce65b225",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
+    def test_stdout_pinned(self, capsys, argv):
+        import hashlib
+
+        out = run(capsys, *argv.split())
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[argv]
+
+    @pytest.mark.parametrize(
+        "name,params",
+        (
+            ("profile", ()), ("pareto", ()), ("disk-revolve", ()),
+            ("campaign", ()), ("fleet", ()), ("resilience", ("trials=3",)),
+            ("energy", ()), ("batch-tradeoff", ()),
+            ("viewpoint", ("subjects=20", "epochs=3")),
+        ),
+    )
+    def test_run_json_is_cached(self, capsys, tmp_path, name, params):
+        import json
+
+        argv = ["run", name, "--outdir", str(tmp_path), "--format", "json"]
+        for param in params:
+            argv += ["--param", param]
+        body, _, summary = run(capsys, *argv).rstrip("\n").rpartition("\n")
+        assert isinstance(json.loads(body), dict)
+        assert summary.startswith("lab cache: 0 hits / 1 misses")
+        again = run(capsys, *argv)
+        assert again.startswith(body) and "lab cache: 1 hits / 0 misses" in again
 
 
 class TestMegafleet:

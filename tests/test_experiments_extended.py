@@ -40,6 +40,7 @@ class TestExtendedRows:
         assert m.strategy == "revolve"
         assert 1.0 < m.rho < 1.5
         assert m.planned_mb <= 2048
+        assert by(rows, "MobileNetV2", 64).rho < 1.5
 
     def test_resnet18_crosses_at_batch_64(self, rows):
         assert by(rows, "ResNet18", 32).strategy == "store_all"

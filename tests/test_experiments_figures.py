@@ -15,7 +15,7 @@ from repro.units import GB
 
 class TestSection5:
     def test_formula_matches_execution_everywhere(self):
-        rows = section5_sweep(lengths=(18, 34, 50), max_segments=10)
+        rows = section5_sweep()  # every paper depth, up to 16 segments
         assert rows
         assert all(r.consistent for r in rows)
 
@@ -52,6 +52,10 @@ class TestFigure1:
             mem0 = series.points[0][1] / (1024 * 1024)
             assert mem0 == pytest.approx(PAPER_TABLE1_MB[1][series.depth], abs=0.2)
 
+    def test_panel_a_everything_fits_at_rho_1(self):
+        """Batch 1 at 224 px: every model fits 2 GB without recompute."""
+        assert all(s.memory_at(1.0) <= 2 * GB for s in figure1_panel("a", "paper"))
+
     def test_panel_b_paper_headline(self):
         """Figure 1b: at ρ=1 batch 8 only R18/R34 fit 2 GB; with ρ ≥ 1.6
         every model fits (paper Section VI)."""
@@ -75,10 +79,20 @@ class TestFigure1:
                 assert rd >= rb
 
     def test_panel_c_fits_somewhere(self):
-        """Batch 1 at 500 px: checkpointing brings every model under
-        2 GB within the swept range."""
-        for s in figure1_panel("c", "paper"):
+        """Batch 1 at 500 px: ResNet-152 exceeds 2 GB at ρ=1, and
+        checkpointing brings every model under 2 GB within the swept range."""
+        series = figure1_panel("c", "paper")
+        assert next(s for s in series if s.depth == 152).memory_at(1.0) > 2 * GB
+        for s in series:
             assert s.min_rho_under(2 * GB) is not None
+
+    def test_panel_d_headline(self):
+        """Batch 8 at 500 px: even ResNet-18 exceeds 2 GB at ρ=1, and every
+        model fits by ρ ≤ 2.0 (the paper's ~1.6 needs bwd = 2·fwd; see
+        EXPERIMENTS.md)."""
+        for s in figure1_panel("d", "paper"):
+            assert s.memory_at(1.0) > 2 * GB
+            assert s.min_rho_under(2 * GB) <= 2.0
 
     def test_ours_source_same_shape(self):
         """First-principles coefficients preserve the panel-b story."""

@@ -45,6 +45,19 @@ class TestSweep:
         pts = sensitivity_sweep(depths=(18, 152), bwd_ratios=(1.0,), inflight=(0, 1))
         assert len(pts) == 4
 
+    def test_every_convention_fits_and_keeps_model_order(self):
+        """Every convention keeps the crossovers inside the plotted
+        ρ ≤ 3 range, and none changes the model ordering."""
+        pts = sensitivity_sweep()
+        assert pts and all(p.fit_rho is not None and p.fit_rho <= 3.0 for p in pts)
+        for ratio in (0.5, 1.0, 2.0):
+            for w in (0, 1):
+                rhos = [
+                    p.fit_rho for p in sorted(pts, key=lambda q: q.depth)
+                    if p.bwd_ratio == ratio and p.inflight_slots == w
+                ]
+                assert rhos == sorted(rhos)
+
     def test_table_renders(self):
         text = sensitivity_table().render()
         assert "ResNet152" in text

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import compare_to_paper, memory_models, table1, table2, table3
-from repro.memory import PAPER_TABLE1_MB
+from repro.memory import PAPER_TABLE1_MB, PAPER_TABLE2_MB, PAPER_TABLE3_GB
 from repro.units import GB
 
 
@@ -33,8 +33,9 @@ class TestTable1:
             assert paper == sorted(paper)
 
     def test_shading_batch1_none(self):
-        t = table1("paper")
-        assert not any(t.exceeds_budget(1, d) for d in t.depths)
+        for source in ("paper", "ours"):
+            t = table1(source)
+            assert not any(t.exceeds_budget(1, d) for d in t.depths)
 
     def test_shading_batch50_all(self):
         t = table1("paper")
@@ -52,6 +53,22 @@ class TestTable2And3:
             vals = [t.value(s, d) for s in t.rows]
             assert vals == sorted(vals)
 
+    @pytest.mark.parametrize(
+        "gen,published,rel,abs_",
+        ((table2, PAPER_TABLE2_MB, 0.025, 0.0), (table3, PAPER_TABLE3_GB, 0.03, 0.03)),
+        ids=("table2", "table3"),
+    )
+    def test_paper_source_reproduces_published_values(self, gen, published, rel, abs_):
+        t = gen("paper")
+        for s, row in published.items():
+            for depth, value in row.items():
+                assert t.value(s, depth) == pytest.approx(value, rel=rel, abs=abs_)
+
+    @pytest.mark.parametrize("source,depth", (("paper", 18), ("ours", 34)))
+    def test_table2_1500px_headline(self, source, depth):
+        """At 1500 px even ResNet-18 exceeds 2 GB (ours: one step later)."""
+        assert table2(source).exceeds_budget(1500, depth)
+
     def test_table3_unit_is_gb(self):
         t3 = table3("paper")
         assert t3.unit == "GB"
@@ -67,6 +84,13 @@ class TestTable2And3:
         assert not t3.exceeds_budget(224, 18)
         assert not t3.exceeds_budget(224, 34)
         for d in (50, 101, 152):
+            assert t3.exceeds_budget(224, d)
+
+    def test_table3_ours_reproduces_224_frontier(self):
+        t3 = table3("ours")
+        assert not t3.exceeds_budget(224, 18)
+        assert not t3.exceeds_budget(224, 34)
+        for d in (101, 152):
             assert t3.exceeds_budget(224, d)
 
     def test_table3_650_nothing_fits(self):

@@ -51,6 +51,14 @@ class TestParam:
             p.coerce([1, 3])
 
 
+    def test_float_rejects_nan_but_keeps_inf(self):
+        assert lab.Param("x", float, default=1.0).coerce("inf") == float("inf")
+        with pytest.raises(LabError, match="param 'x' must not be NaN"):
+            lab.Param("x", float, default=1.0).coerce("nan")
+        with pytest.raises(LabError, match="param 'xs' must not be NaN"):
+            lab.Param("xs", float, default=(1.0,), repeated=True).coerce([1.0, "nan"])
+
+
 class TestExperimentSpec:
     def test_requires_ascii_renderer(self):
         with pytest.raises(LabError):
