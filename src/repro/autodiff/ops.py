@@ -1,10 +1,15 @@
 """Vectorized NumPy primitives for the training substrate.
 
-Convolution uses im2col/col2im (no Python loops over pixels, per the
-vectorization guidance for numerical Python); pooling uses stride tricks
-via reshape when the window tiles exactly, falling back to im2col
-otherwise.  All arrays are NCHW float64 by default for gradient-check
-accuracy; the layers cast as configured.
+Convolution uses im2col/col2im.  Both move data with ``kh*kw`` strided
+slice copies, one per window offset -- no index arrays, no fancy
+indexing, no Python loop over pixels.  col2im adds the offsets in
+ascending ``(i, j)`` order, the order ``np.add.at`` adds them into each
+pixel, so every gradient is bit-identical to an indexed scatter-add.
+Besides those adds, the conv passes sum only in their three einsums
+and the bias reduction.  Pooling uses stride tricks via reshape when
+the window tiles exactly, falling back to im2col otherwise.  All arrays
+are NCHW float64 by default for gradient-check accuracy; the layers
+cast as configured.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "im2col_indices",
     "im2col",
     "col2im",
     "conv2d_forward",
@@ -30,30 +34,34 @@ def pad_nchw(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
-def im2col_indices(
-    h: int, w: int, kh: int, kw: int, stride: int, padding: int
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Row/col gather indices for im2col on padded input.
-
-    Returns ``(rows, cols, oh, ow)`` where ``rows``/``cols`` have shape
-    ``(kh*kw, oh*ow)``.
-    """
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    r0 = np.repeat(np.arange(kh), kw).reshape(-1, 1)
-    c0 = np.tile(np.arange(kw), kh).reshape(-1, 1)
-    r1 = stride * np.repeat(np.arange(oh), ow).reshape(1, -1)
-    c1 = stride * np.tile(np.arange(ow), oh).reshape(1, -1)
-    return r0 + r1, c0 + c1, oh, ow
+def _out_size(size: int, k: int, stride: int, padding: int) -> int:
+    return (size + 2 * padding - k) // stride + 1
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple[np.ndarray, int, int]:
-    """Unfold NCHW ``x`` into columns of shape ``(N, C*kh*kw, oh*ow)``."""
+    """Unfold NCHW ``x`` into columns of shape ``(N, C*kh*kw, oh*ow)``.
+
+    Column ``(c, i, j)`` holds the window offset ``(i, j)`` of channel
+    ``c`` at every output position, copied with one strided slice per
+    offset.  The result is C-contiguous, except when ``C == 1`` or
+    ``kh*kw == 1``.  There an indexed gather ``xp[:, :, rows, cols]``
+    (laid out offsets and positions outermost) reshapes without a copy,
+    and the result keeps that layout: the einsums downstream see the
+    strides, and on another layout they may sum in another order.
+    """
     n, c, h, w = x.shape
-    rows, cols, oh, ow = im2col_indices(h, w, kh, kw, stride, padding)
+    oh = _out_size(h, kh, stride, padding)
+    ow = _out_size(w, kw, stride, padding)
     xp = pad_nchw(x, padding)
-    # gather -> (N, C, kh*kw, oh*ow) -> (N, C*kh*kw, oh*ow)
-    patches = xp[:, :, rows, cols]
+    if c == 1 or kh * kw == 1:
+        patches = np.empty((kh * kw, oh * ow, n, c), dtype=x.dtype).transpose(2, 3, 0, 1)
+    else:
+        patches = np.empty((n, c, kh * kw, oh * ow), dtype=x.dtype)
+    windows = patches.reshape(n, c, kh, kw, oh, ow)  # splits axes: always a view
+    for i in range(kh):
+        rows = slice(i, i + stride * oh, stride)
+        for j in range(kw):
+            windows[:, :, i, j] = xp[:, :, rows, j : j + stride * ow : stride]
     return patches.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
@@ -65,14 +73,23 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back to NCHW."""
+    """Adjoint of :func:`im2col`: scatter-add columns back to NCHW.
+
+    One strided ``+=`` per window offset, in ascending ``(i, j)``
+    order onto a zero buffer: every pixel receives its terms in the
+    order ``np.add.at`` would add them, so the sums are bit-identical
+    to an indexed scatter-add (``-0.0`` terms included).
+    """
     n, c, h, w = x_shape
-    rows, colidx, oh, ow = im2col_indices(h, w, kh, kw, stride, padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    xp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    patches = cols.reshape(n, c, kh * kw, oh * ow)
-    # np.add.at performs the required scatter-add over overlapping windows.
-    np.add.at(xp, (slice(None), slice(None), rows, colidx), patches)
+    oh = _out_size(h, kh, stride, padding)
+    ow = _out_size(w, kw, stride, padding)
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    # one transposing copy up front beats reading every offset across strides
+    windows = np.ascontiguousarray(cols).reshape(n, c, kh, kw, oh, ow)
+    for i in range(kh):
+        rows = slice(i, i + stride * oh, stride)
+        for j in range(kw):
+            xp[:, :, rows, j : j + stride * ow : stride] += windows[:, :, i, j]
     if padding == 0:
         return xp
     return xp[:, :, padding:-padding, padding:-padding]

@@ -15,6 +15,7 @@ heterogeneous chains (real ResNet block chains) feed the general DP in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,6 +46,8 @@ class ChainSpec:
             raise ScheduleError(f"bwd_cost must have length l={l}")
         if any(b < 0 for b in self.act_bytes):
             raise ScheduleError("activation sizes must be non-negative")
+        if not all(math.isfinite(c) for c in (*self.fwd_cost, *self.bwd_cost)):
+            raise ScheduleError("step costs must be finite")
         if any(c < 0 for c in self.fwd_cost) or any(c < 0 for c in self.bwd_cost):
             raise ScheduleError("step costs must be non-negative")
 

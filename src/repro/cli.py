@@ -311,6 +311,7 @@ def _show(args: argparse.Namespace) -> str:
         lines.append("  params:")
         for p in spec.params:
             extra = f", choices={sorted(p.choices)}" if p.choices else ""
+            extra += f", min={p.min}" if p.min is not None else ""
             rep = "repeated " if p.repeated else ""
             lines.append(
                 f"    {p.name:<14} {rep}{p.type.__name__}"

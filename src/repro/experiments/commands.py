@@ -29,7 +29,10 @@ def _command(name: str, title: str, params: tuple[Param, ...], ascii_fn: Callabl
 @_command(
     "profile",
     "per-layer memory profile of a zoo model",
-    (Param("model", int, default=50, choices=RESNET_DEPTHS), Param("top", int, default=8)),
+    (
+        Param("model", int, default=50, choices=RESNET_DEPTHS),
+        Param("top", int, default=8, min=1),
+    ),
     lambda doc: doc["report"],
 )
 def _profile(params, inputs):
@@ -140,7 +143,7 @@ def _campaign_ascii(doc: dict) -> str:
     "campaign",
     "in-situ adaptation campaign simulation",
     (
-        Param("crossings", float, default=60.0),
+        Param("crossings", float, default=60.0, min=0),
         Param("target", float, default=0.9),
         Param("seed", int, default=0),
     ),
@@ -341,7 +344,7 @@ def _energy(params, inputs):
     (
         Param("model", int, default=50, choices=RESNET_DEPTHS),
         Param("device", str, default=ODROID_XU4.name, choices=tuple(sorted(DEVICE_CATALOG))),
-        Param("images", int, default=10_000),
+        Param("images", int, default=10_000, min=1),
     ),
     lambda doc: table_from_payload(doc["table"]).render(),
 )
@@ -375,7 +378,7 @@ def _viewpoint_ascii(doc: dict) -> str:
     "viewpoint",
     "Section III student-teacher pipeline",
     (
-        Param("subjects", int, default=120),
+        Param("subjects", int, default=120, min=1),
         Param("epochs", int, default=30),
         Param("seed", int, default=0),
     ),

@@ -47,6 +47,7 @@ class Param:
     ``repeated`` params take a tuple of ``type`` values (exposed on the
     CLI as a repeatable flag); ``choices`` constrains the value domain.
     ``cli`` overrides the derived flag name (``lengths`` → ``--length``).
+    ``min`` is an inclusive lower bound on numeric values.
     """
 
     name: str
@@ -56,6 +57,7 @@ class Param:
     repeated: bool = False
     cli: str | None = None
     help: str = ""
+    min: float | None = None
 
     def coerce(self, value: Any) -> Any:
         """Validate and normalize one value for this parameter."""
@@ -80,6 +82,8 @@ class Param:
             raise LabError(
                 f"param {self.name!r}: {coerced!r} not in {sorted(self.choices)}"
             )
+        if self.min is not None and coerced < self.min:
+            raise LabError(f"param {self.name!r} must be >= {self.min}, got {coerced!r}")
         return coerced
 
 

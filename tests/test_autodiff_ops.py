@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.autodiff.ops import (
     col2im,
@@ -10,6 +11,7 @@ from repro.autodiff.ops import (
     im2col,
     maxpool2d_backward,
     maxpool2d_forward,
+    pad_nchw,
 )
 
 
@@ -124,3 +126,89 @@ class TestMaxPool:
         x = rng.normal(size=(1, 1, 5, 5))
         out, _ = maxpool2d_forward(x, 2)
         assert out.shape == (1, 1, 2, 2)
+
+
+# -- oracle: im2col as a fancy-index gather, col2im as np.add.at ------------
+
+
+def _gather_indices(h, w, k, stride, padding):
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (w + 2 * padding - k) // stride + 1
+    rows = np.repeat(np.arange(k), k)[:, None] + stride * np.repeat(np.arange(oh), ow)[None, :]
+    cols = np.tile(np.arange(k), k)[:, None] + stride * np.tile(np.arange(ow), oh)[None, :]
+    return rows, cols, oh, ow
+
+
+def oracle_im2col(x, k, stride, padding):
+    n, c, h, w = x.shape
+    rows, cols, oh, ow = _gather_indices(h, w, k, stride, padding)
+    return pad_nchw(x, padding)[:, :, rows, cols].reshape(n, c * k * k, oh * ow), oh, ow
+
+
+def oracle_col2im(cols, x_shape, k, stride, padding):
+    n, c, h, w = x_shape
+    rows, colidx, oh, ow = _gather_indices(h, w, k, stride, padding)
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    np.add.at(xp, (slice(None), slice(None), rows, colidx), cols.reshape(n, c, k * k, oh * ow))
+    return xp if padding == 0 else xp[:, :, padding:-padding, padding:-padding]
+
+
+def _with_negative_zeros(rng, shape):
+    a = rng.normal(size=shape)
+    a[rng.random(shape) < 0.25] = -0.0
+    return a
+
+
+def _same(a, b):
+    """Equal shape, strides and bytes: einsum sees the layout, not just the values."""
+    assert a.shape == b.shape
+    assert a.strides == b.strides
+    assert a.tobytes() == b.tobytes()
+
+
+@given(
+    n=st.integers(1, 4),
+    c=st.integers(1, 4),
+    o=st.integers(1, 4),
+    k=st.integers(1, 4),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 2),
+    dh=st.integers(0, 5),
+    dw=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+)
+@example(n=2, c=3, o=2, k=1, stride=2, padding=1, dh=3, dw=2, seed=0)  # kh*kw == 1
+@example(n=2, c=3, o=2, k=3, stride=1, padding=0, dh=0, dw=0, seed=1)  # oh*ow == 1
+@example(n=2, c=1, o=3, k=4, stride=3, padding=0, dh=0, dw=2, seed=2)  # C == 1 and oh*ow == 1
+@example(n=3, c=1, o=1, k=1, stride=1, padding=0, dh=0, dw=0, seed=3)  # all three at once
+@settings(max_examples=150, deadline=None)
+def test_conv_kernels_match_gather_and_add_at_oracle(n, c, o, k, stride, padding, dh, dw, seed):
+    """im2col/col2im and both conv passes are bit-identical to the
+    indexed gather and ``np.add.at`` scatter they replace, signed zeros
+    included."""
+    rng = np.random.default_rng(seed)
+    x = _with_negative_zeros(rng, (n, c, k + dh, k + dw))
+    weight = _with_negative_zeros(rng, (o, c, k, k))
+    bias = _with_negative_zeros(rng, (o,))
+
+    cols, oh, ow = im2col(x, k, k, stride, padding)
+    ref_cols, ref_oh, ref_ow = oracle_im2col(x, k, stride, padding)
+    assert (oh, ow) == (ref_oh, ref_ow)
+    _same(cols, ref_cols)
+
+    wmat = weight.reshape(o, c * k * k)
+    ref_out = np.einsum("ok,nkp->nop", wmat, ref_cols, optimize=True)
+    ref_out += bias.reshape(1, o, 1)
+    _same(conv2d_forward(x, weight, bias, stride, padding), ref_out.reshape(n, o, oh, ow))
+
+    dy = _with_negative_zeros(rng, (n, o, oh, ow))
+    dy2 = dy.reshape(n, o, oh * ow)
+    ref_dw = np.einsum("nop,nkp->ok", dy2, ref_cols, optimize=True).reshape(weight.shape)
+    ref_dcols = np.einsum("ok,nop->nkp", wmat, dy2, optimize=True)
+    ref_dx = oracle_col2im(ref_dcols, x.shape, k, stride, padding)
+    _same(col2im(ref_dcols, x.shape, k, k, stride, padding), ref_dx)
+
+    dx, dweight, dbias = conv2d_backward(x, weight, dy, stride, padding, with_bias=True)
+    _same(dx, ref_dx)
+    _same(dweight, ref_dw)
+    _same(dbias, dy2.sum(axis=(0, 2)))

@@ -1,5 +1,7 @@
 """ChainSpec construction and invariants."""
 
+import math
+
 import pytest
 
 from repro.checkpointing import ChainSpec
@@ -47,6 +49,13 @@ class TestValidation:
     def test_negative_cost_rejected(self):
         with pytest.raises(ScheduleError):
             ChainSpec(name="x", act_bytes=(1, 1), fwd_cost=(-1.0,), bwd_cost=(1.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["fwd_cost", "bwd_cost"])
+    def test_non_finite_cost_rejected(self, field, bad):
+        costs = {"fwd_cost": (1.0, 1.0), "bwd_cost": (1.0, 1.0), field: (bad, 1.0)}
+        with pytest.raises(ScheduleError, match="step costs must be finite"):
+            ChainSpec("x", (1, 1, 1), **costs)
 
 
 class TestConstructors:

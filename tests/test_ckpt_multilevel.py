@@ -28,33 +28,37 @@ from repro.errors import ScheduleError
 def _dr(l: int, c_m: int, write_cost: float, read_cost: float) -> tuple[float, int]:
     """Inner DP: segment whose base is *already on disk*.
 
-    Returns (optimal cost, first split j; 0 = finish in memory).
+    Returns (optimal cost, first split j; 0 = finish in memory).  A
+    candidate is summed as forwards to the split, read of the base,
+    in-memory reversal of the left part, write of the split, then the
+    right part -- the order the planner adds them in.  A later split
+    must win by more than 1e-12, and with a price of exactly that size
+    (hypothesis draws the literal from the source) only an identical
+    float sum decides the tie the same way.
     """
     best, best_j = float(opt_forwards(l, c_m)), 0
     for j in range(1, l):
         right, _ = _dr(l - j, c_m, write_cost, read_cost)
         left = float(opt_forwards(j, c_m))
-        val = j + write_cost + right + read_cost + left
+        val = j + read_cost + left + write_cost + right
         if val < best - 1e-12:
             best, best_j = val, j
     return best, best_j
 
 
-@lru_cache(maxsize=None)
 def _dr_top(l: int, c_m: int, write_cost: float, read_cost: float) -> tuple[float, int]:
     """Top-level DP: x_0 starts in the cursor, *not* on disk.
 
     Taking any split requires first parking x_0 on disk (one extra
-    write), so that option is priced against pure in-memory Revolve.
+    write), so the best disk plan is priced against pure in-memory
+    Revolve.
     """
-    best, best_j = float(opt_forwards(l, c_m)), 0
-    for j in range(1, l):
-        right, _ = _dr(l - j, c_m, write_cost, read_cost)
-        left = float(opt_forwards(j, c_m))
-        val = write_cost + j + write_cost + right + read_cost + left
-        if val < best - 1e-12:
-            best, best_j = val, j
-    return best, best_j
+    revolve = float(opt_forwards(l, c_m))
+    paged, j = _dr(l, c_m, write_cost, read_cost)
+    val = write_cost + paged
+    if val < revolve - 1e-12:
+        return val, j
+    return revolve, 0
 
 
 def reference_disk_revolve(

@@ -187,10 +187,16 @@ class TestExtensionCommands:
                 ("run", "table1", "--param", "source=bogus"),
                 "param 'source': 'bogus' not in ['ours', 'paper']",
             ),
+            (("profile", "--top", "-1"), "param 'top' must be >= 1, got -1"),
+            (("viewpoint", "--subjects", "0"), "param 'subjects' must be >= 1, got 0"),
+            (("batch-tradeoff", "--images", "0"), "param 'images' must be >= 1, got 0"),
+            (("campaign", "--crossings", "-5"), "param 'crossings' must be >= 0, got -5.0"),
         ),
         ids=(
             "fleet-nodes0", "fleet-crash-nan", "energy-gflops-nan",
             "campaign-crossings-nan", "resilience-mtbf-nan", "run-bad-param-value",
+            "profile-top-negative", "viewpoint-subjects0", "batch-tradeoff-images0",
+            "campaign-crossings-negative",
         ),
     )
     def test_bad_input_exits_2_without_traceback(self, capsys, argv, message):

@@ -51,6 +51,10 @@ class TestListShow:
         assert "ascii" in out and "csv" in out
         assert "figure1_b.txt" in out
 
+    def test_show_names_param_bounds(self, capsys):
+        out = run(capsys, "show", "profile")
+        assert "top            int (default=8, min=1)" in out
+
     def test_show_summary_lists_deps(self, capsys):
         out = run(capsys, "show", "summary")
         for dep, _ in lab.get_spec("summary").deps:

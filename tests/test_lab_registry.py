@@ -58,6 +58,14 @@ class TestParam:
         with pytest.raises(LabError, match="param 'xs' must not be NaN"):
             lab.Param("xs", float, default=(1.0,), repeated=True).coerce([1.0, "nan"])
 
+    def test_min_is_an_inclusive_bound(self):
+        p = lab.Param("k", int, default=8, min=1)
+        assert p.coerce("1") == 1
+        with pytest.raises(LabError, match="param 'k' must be >= 1, got 0"):
+            p.coerce(0)
+        with pytest.raises(LabError, match="param 'ks' must be >= 0, got -1"):
+            lab.Param("ks", int, default=(1,), repeated=True, min=0).coerce([1, -1])
+
 
 class TestExperimentSpec:
     def test_requires_ascii_renderer(self):

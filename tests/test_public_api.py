@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.autodiff.ops import im2col_indices, pad_nchw
+from repro.autodiff.ops import pad_nchw
 from repro.edge import (
     DEVICE_CATALOG,
     JETSON_NANO,
@@ -59,17 +59,6 @@ class TestLowLevelOps:
         assert padded.shape == (1, 1, 4, 4)
         assert padded.sum() == 4  # original mass preserved
         assert pad_nchw(x, 0) is x  # no copy when padding is zero
-
-    def test_im2col_indices_shapes(self):
-        rows, cols, oh, ow = im2col_indices(5, 5, 3, 3, 1, 0)
-        assert (oh, ow) == (3, 3)
-        assert rows.shape == (9, 9)
-        assert cols.shape == (9, 9)
-        assert rows.max() == 4  # stays inside the (unpadded) input
-
-    def test_im2col_indices_with_padding(self):
-        rows, cols, oh, ow = im2col_indices(4, 4, 3, 3, 1, 1)
-        assert (oh, ow) == (4, 4)
 
 
 class TestConstants:
