@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import PlanningError
+from ..errors import ConfigError, PlanningError
 from .device import Device
 from .simulator import DutyCycleSimulator, estimate_epoch
 from .storage import ImageStore
@@ -87,6 +87,12 @@ class CampaignConfig:
     epochs_per_session: int = 1
     max_days: int = 365
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.crossings_per_day) and self.crossings_per_day >= 0):
+            raise ConfigError(
+                f"crossings_per_day must be finite and >= 0, got {self.crossings_per_day!r}"
+            )
 
 
 @dataclass(frozen=True)

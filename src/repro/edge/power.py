@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import ConfigError
+
 __all__ = [
     "EnergyModel",
     "EnergyComparison",
@@ -147,9 +149,9 @@ def streaming_comparison(
     model per frame on the node.
     """
     if fps <= 0 or frame_bytes <= 0 or seconds <= 0:
-        raise ValueError("fps, frame_bytes and seconds must be positive")
+        raise ConfigError("fps, frame_bytes and seconds must be positive")
     if inference_flops_per_frame < 0:
-        raise ValueError("inference_flops_per_frame must be non-negative")
+        raise ConfigError("inference_flops_per_frame must be non-negative")
     n_frames = fps * seconds
     ship = model.transfer_energy(n_frames * frame_bytes)
     local = model.compute_energy(n_frames * inference_flops_per_frame)

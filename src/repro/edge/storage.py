@@ -4,8 +4,8 @@ The paper argues harvested training images need not be stored at high
 resolution: at 224×224 a JPEG-compressed frame is ≲ 10 kB, so even a
 large harvested dataset fits the node's SD card.  (The paper says 100,000
 such images need "about 10 GB"; at 10 kB each the exact figure is ~1 GB —
-``bench_student_teacher`` prints both, and EXPERIMENTS.md notes the
-discrepancy.)
+``tests/test_edge_device_storage.py`` pins it, and EXPERIMENTS.md notes
+the discrepancy.)
 
 :class:`StorageProfile` prices the *write path* of that same SD/flash
 medium — a fixed per-operation latency plus a bandwidth term.  It is

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 __all__ = [
     "ReproError",
+    "ConfigError",
     "ShapeError",
     "GraphError",
     "ScheduleError",
@@ -26,6 +27,14 @@ __all__ = [
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
+
+
+class ConfigError(ReproError, ValueError):
+    """A configuration value is out of range (negative, non-finite, ...).
+
+    Also a :class:`ValueError`, so callers that catch ``ValueError`` keep
+    working.
+    """
 
 
 class ShapeError(ReproError):

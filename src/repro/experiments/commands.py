@@ -10,7 +10,6 @@ prints.  None declares a default unit, so ``repro all`` never runs them;
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict
 from typing import Callable
 
@@ -80,10 +79,9 @@ def _pareto(params, inputs):
 
 
 def _disk_revolve_ascii(doc: dict) -> str:
-    d = math.inf if doc["disk_cost"] is None else doc["disk_cost"]
     return (
         f"Two-level checkpointing: l={doc['length']}, memory slots={doc['mem_slots']}, "
-        f"disk I/O cost={d}\n"
+        f"disk I/O cost={doc['disk_cost']}\n"
         f"  memory-only Revolve cost : {doc['memory_only_cost']}\n"
         f"  two-level optimal cost   : {doc['two_level_cost']:.1f}\n"
         f"  disk checkpoints         : {doc['disk_writes']} "
@@ -112,7 +110,6 @@ def _disk_revolve(params, inputs):
     disk = run.tier("disk")
     return {
         **params,
-        "disk_cost": d if math.isfinite(d) else None,  # strict JSON has no inf
         "memory_only_cost": opt_forwards(l, c),
         "two_level_cost": disk_revolve_cost(l, c, d, d),
         "disk_writes": disk.writes,

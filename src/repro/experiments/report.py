@@ -8,9 +8,10 @@ dependency is required (the environment is offline).
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 from typing import Sequence
+
+from ..lab.spec import dump_json
 
 __all__ = [
     "Table",
@@ -92,7 +93,7 @@ def table_from_payload(doc: dict) -> Table:
 
 def render_json(payload: dict) -> str:
     """Canonical JSON rendering shared by every registered spec."""
-    return json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    return dump_json(payload, indent=1, sort_keys=True) + "\n"
 
 
 def ascii_plot(

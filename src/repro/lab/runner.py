@@ -29,7 +29,6 @@ tracer span plus a ``lab.compute_seconds`` histogram sample.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -49,7 +48,7 @@ from ..obs.runlog import (
 )
 from .manifest import build_manifest, validate_manifest
 from .registry import get_spec
-from .spec import ExperimentSpec, Unit, unit_key
+from .spec import ExperimentSpec, Unit, dump_json, load_json, unit_key
 from .store import ArtifactStore
 
 __all__ = [
@@ -123,11 +122,12 @@ class RunReport:
 def normalize_payload(payload: Any) -> Any:
     """Strict-JSON round-trip so cached and fresh payloads are identical.
 
-    Tuples become lists, dict key order is preserved, and any NaN or
-    Infinity is rejected up front (specs encode those as ``None``).
+    Tuples become lists, dict key order is preserved, infinities survive
+    (:func:`~repro.lab.spec.dump_json`'s encoding) and any NaN is
+    rejected up front.
     """
     try:
-        return json.loads(json.dumps(payload, allow_nan=False))
+        return load_json(dump_json(payload))
     except (TypeError, ValueError) as exc:
         raise LabError(f"spec payload is not strict JSON: {exc}") from exc
 

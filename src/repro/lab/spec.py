@@ -33,6 +33,8 @@ __all__ = [
     "ExperimentSpec",
     "canonical_params",
     "canonical_payload",
+    "dump_json",
+    "load_json",
     "unit_key",
 ]
 
@@ -196,12 +198,53 @@ def _module_fingerprint(fn: Callable) -> str:
     return digest
 
 
+#: Strict JSON has no Infinity: ``dump_json`` writes each infinite float
+#: as ``{"$float": "Infinity"}`` (or ``"-Infinity"``) and ``load_json``
+#: reads it back.  NaN stays rejected.
+_NONFINITE_TAG = "$float"
+_INF_NAMES = {math.inf: "Infinity", -math.inf: "-Infinity"}
+_INF_VALUES = {name: value for value, name in _INF_NAMES.items()}
+
+
+def _tag_infinities(value: Any) -> Any:
+    if isinstance(value, float) and math.isinf(value):
+        return {_NONFINITE_TAG: _INF_NAMES[value]}
+    if isinstance(value, dict):
+        return {k: _tag_infinities(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_tag_infinities(v) for v in value]
+    return value
+
+
+def _untag_infinity(obj: dict) -> Any:
+    if len(obj) == 1 and obj.get(_NONFINITE_TAG) in _INF_VALUES:
+        return _INF_VALUES[obj[_NONFINITE_TAG]]
+    return obj
+
+
+def dump_json(value: Any, **kwargs: Any) -> str:
+    """``json.dumps`` with strict JSON's one encoding of ±inf.
+
+    Raises ``ValueError`` on NaN and ``TypeError`` on non-JSON types.
+    Data without infinities serializes exactly as plain ``json.dumps``.
+    """
+    try:
+        return json.dumps(value, allow_nan=False, **kwargs)
+    except ValueError:
+        return json.dumps(_tag_infinities(value), allow_nan=False, **kwargs)
+
+
+def load_json(text: str) -> Any:
+    """Inverse of :func:`dump_json`: decodes tagged infinities to floats."""
+    if _NONFINITE_TAG not in text:
+        return json.loads(text)
+    return json.loads(text, object_hook=_untag_infinity)
+
+
 def canonical_params(params: Mapping[str, Any]) -> str:
     """Canonical JSON for hashing: sorted keys, no whitespace, strict."""
     try:
-        return json.dumps(
-            params, sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        return dump_json(params, sort_keys=True, separators=(",", ":"))
     except (TypeError, ValueError) as exc:
         raise LabError(f"params are not strict-JSON canonicalizable: {exc}") from exc
 
@@ -209,9 +252,7 @@ def canonical_params(params: Mapping[str, Any]) -> str:
 def canonical_payload(payload: Any) -> str:
     """Canonical JSON of a computed payload (the hashed cache content)."""
     try:
-        return json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        return dump_json(payload, sort_keys=True, separators=(",", ":"))
     except (TypeError, ValueError) as exc:
         raise LabError(f"payload is not strict-JSON serializable: {exc}") from exc
 

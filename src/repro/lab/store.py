@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from ..errors import ArtifactError
-from .spec import canonical_payload
+from .spec import canonical_payload, dump_json, load_json
 
 __all__ = ["ArtifactStore", "PAYLOAD_VERSION"]
 
@@ -69,7 +69,7 @@ class ArtifactStore:
             "payload": payload,
         }
         path = self.cache_path(key)
-        _atomic_write_text(path, json.dumps(doc, indent=1, allow_nan=False))
+        _atomic_write_text(path, dump_json(doc, indent=1))
         return path
 
     def load_payload(self, key: str) -> Any:
@@ -82,7 +82,7 @@ class ArtifactStore:
         except OSError as exc:
             raise ArtifactError(f"unreadable artifact {path}: {exc}") from exc
         try:
-            doc = json.loads(raw)
+            doc = load_json(raw)
         except json.JSONDecodeError as exc:
             raise ArtifactError(f"corrupted artifact {path}: {exc}") from exc
         if not isinstance(doc, dict):

@@ -10,7 +10,8 @@ transforms rescale an existing :class:`~repro.memory.accounting.MemoryAccount`:
   working weight copy in fp16, the master weights and optimizer state in
   fp32 (the realistic regime; fixed cost shrinks by only ~12% while
   activations halve — so checkpointing remains the bigger lever for the
-  batch-dependent part, quantified in ``bench_ablation_precision``).
+  batch-dependent part, pinned on ResNet-50 in
+  ``tests/test_memory_precision.py``).
 """
 
 from __future__ import annotations

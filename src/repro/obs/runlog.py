@@ -10,7 +10,7 @@ written down.  This module is the worker half of campaign telemetry:
   hooks, the compiled-dispatch bypass) stay on their zero-overhead
   branches.  Telemetry therefore costs one span per coarse phase, not
   one per schedule action — ``bench_obs_overhead`` pins it under the
-  same ≤1.05x budget as the disabled tracer.
+  same ≤1.05x budget over a bare ``execute`` as the disabled tracer.
 * :class:`UnitCapture` wraps one unit's compute: it installs a fresh
   :class:`RunlogTracer`, opens a ``unit`` span, snapshots the metrics
   registry and ``resource.getrusage`` before/after, and leaves behind a

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PlanningError
+from ..errors import ConfigError, PlanningError
 from ..obs import get_tracer
 from .faults import FaultModel, PoissonFaults
 from .recovery import run_duty_cycle_with_faults
@@ -97,7 +97,7 @@ def simulate_makespan(
 ) -> float:
     """Mean Monte-Carlo wall time of the crash/rollback replay."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError("trials must be >= 1")
     total = 0.0
     for _ in range(trials):
         total += run_duty_cycle_with_faults(

@@ -42,7 +42,7 @@ import numpy as np
 
 from ..autodiff.trainer import EpochRecord, FitCursor, Trainer
 from ..edge.storage import SD_CARD, StorageProfile
-from ..errors import SnapshotError
+from ..errors import ConfigError, SnapshotError
 from ..obs import get_metrics, get_tracer
 
 __all__ = [
@@ -391,7 +391,7 @@ def snapshot_nbytes(trainer: Trainer) -> int:
 def young_daly_interval(mtbf_seconds: float, snapshot_seconds: float) -> float:
     """The Young/Daly optimal snapshot interval ``τ* = √(2·δ·MTBF)``."""
     if mtbf_seconds <= 0 or snapshot_seconds <= 0:
-        raise ValueError("MTBF and snapshot cost must be positive")
+        raise ConfigError("MTBF and snapshot cost must be positive")
     return math.sqrt(2.0 * snapshot_seconds * mtbf_seconds)
 
 

@@ -123,6 +123,30 @@ class TestMemoryBehaviour:
         res = run_schedule(net, sch, x, y)
         assert res.peak_slot_bytes <= budget
 
+    def test_dense_relu_revolve_accounting_pinned(self):
+        """16 dense/ReLU layers of width 192, batch 64, Revolve c=3: the
+        MemoryMeter's byte peaks and the step counts are pinned exactly,
+        so any change to the hold/release accounting shows, and the
+        gradients equal store-all's bit for bit."""
+        r = np.random.default_rng(0)
+        layers = [
+            ReLULayer(name=f"r{i}") if i % 2 else DenseLayer(192, 192, r, name=f"fc{i}")
+            for i in range(15)
+        ]
+        net = SequentialNet(layers + [DenseLayer(192, 10, r, name="head")])
+        x = r.normal(size=(64, 192))
+        y = r.integers(0, 10, size=64)
+        res = run_schedule(net, revolve_schedule(16, 3), x, y)
+        assert res.loss.hex() == "0x1.449a2952f4a92p+2"
+        assert res.peak_bytes == 491_520
+        assert res.peak_slot_bytes == 294_912
+        assert (res.forward_steps, res.replay_steps) == (33, 16)
+        loss_ref, grads_ref, _ = net.train_step(x, y)
+        assert res.loss == loss_ref
+        assert set(res.grads) == set(grads_ref)
+        for k in grads_ref:
+            assert np.array_equal(res.grads[k], grads_ref[k]), k
+
 
 class TestRejections:
     def test_length_mismatch(self, rng):

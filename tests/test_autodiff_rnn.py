@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autodiff import UnrolledRNN, run_schedule, softmax_cross_entropy
-from repro.checkpointing import revolve_schedule, store_all_schedule, uniform_schedule
+from repro.checkpointing import (
+    opt_forwards,
+    revolve_schedule,
+    store_all_schedule,
+    uniform_schedule,
+)
 from repro.errors import ShapeError
 
 
@@ -99,6 +104,17 @@ class TestCheckpointedBPTT:
             res = run_schedule(net, revolve_schedule(len(net), c), h0, labels)
             peaks.append(res.peak_bytes)
         assert peaks == sorted(peaks, reverse=True)
+
+    def test_two_slots_cut_memory_eightfold_at_optimal_forwards(self):
+        """T = 64: two slots hold ~2 hidden states plus the gradient flow
+        versus T + 1 for store-all, at exactly Revolve's P(l, 2) forwards."""
+        rnn, x_seq, labels = make_task(T=64, batch=32, input_size=8, hidden=64, classes=4)
+        net = rnn.bind(x_seq)
+        h0 = rnn.initial_state(32)
+        full = run_schedule(net, store_all_schedule(len(net)), h0, labels)
+        lean = run_schedule(net, revolve_schedule(len(net), 2), h0, labels)
+        assert lean.peak_bytes * 8 < full.peak_bytes
+        assert lean.forward_steps == opt_forwards(len(net), 2)
 
     def test_training_learns(self):
         """A few checkpointed-BPTT steps reduce the loss on a toy task."""

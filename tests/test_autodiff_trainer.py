@@ -218,6 +218,39 @@ class TestGradientAccumulation:
         assert t.schedule_strategy == "revolve"
         assert t.evaluate(data) > 0.5
 
+    def test_memory_knobs_share_one_trajectory(self):
+        """Full batch, micro-batches of 8, Revolve and both combined follow
+        one loss trajectory (no BatchNorm, exact recombination); each
+        knob cuts the measured peak, and combining them cuts it most."""
+        data = gaussian_blobs(
+            80, 3, 8, np.random.default_rng(0), spread=0.8, separation=5.0
+        )
+        configs = {
+            "full": TrainerConfig(epochs=3, batch_size=64),
+            "micro8": TrainerConfig(epochs=3, batch_size=64, micro_batch_size=8),
+            "revolve": TrainerConfig(epochs=3, batch_size=64, rho=2.0),
+            "micro8+revolve": TrainerConfig(
+                epochs=3, batch_size=64, micro_batch_size=8, rho=2.0
+            ),
+        }
+        peaks, losses = {}, {}
+        for name, cfg in configs.items():
+            r = np.random.default_rng(1)
+            layers, prev = [], 8
+            for i in range(9):
+                layers += [DenseLayer(prev, 96, r, name=f"fc{i}"), ReLULayer(name=f"r{i}")]
+                prev = 96
+            net = SequentialNet(layers + [DenseLayer(prev, 3, r, name="head")])
+            t = Trainer(net, Momentum(net.layers, lr=0.005), cfg)
+            t.fit(data)
+            peaks[name], losses[name] = t.peak_bytes, [h.mean_loss for h in t.history]
+        for name in ("micro8", "revolve", "micro8+revolve"):
+            assert losses[name] == pytest.approx(losses["full"], rel=1e-9)
+            assert losses[name][-1] < losses[name][0]
+        assert peaks["micro8"] < peaks["full"]
+        assert peaks["revolve"] < peaks["full"]
+        assert peaks["micro8+revolve"] == min(peaks.values())
+
     def test_batchnorm_breaks_exactness_but_checkpointing_does_not(self, rng, data):
         """The documented caveat: per-micro-batch BN statistics make
         accumulation inexact, while checkpointing stays bit-exact."""

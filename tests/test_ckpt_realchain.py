@@ -4,7 +4,7 @@ import pytest
 
 from repro.checkpointing import plan_real_chain, working_set_bytes
 from repro.errors import MemoryBudgetError
-from repro.graph import linearize
+from repro.graph import homogenize, linearize
 from repro.memory import account
 from repro.units import GB, MB
 from repro.zoo import build_resnet, tiny_residual
@@ -51,6 +51,32 @@ class TestPlanRealChain:
         tight = plan_real_chain(r18_chain, budget_bytes=int(base + 8 * 6 * MB), batch_size=8)
         assert tight.extra_forward_cost >= loose.extra_forward_cost
         assert tight.peak_snapshot_bytes <= loose.peak_snapshot_bytes
+
+    def test_agrees_with_aggregate_accounting(self, r18_chain):
+        """At 2 GB / batch 8 store-all fits, and the plan's fixed cost is
+        the aggregate account's.  Homogenizing preserves the activation
+        total (the chain reports its input separately); only the
+        structure is idealized."""
+        g = build_resnet(18, image_size=224)
+        plan = plan_real_chain(r18_chain, budget_bytes=2 * GB, batch_size=8)
+        assert plan.fits
+        assert plan.rho == 1.0
+        assert plan.fixed_bytes == account(g).fixed_bytes
+        lin = homogenize(g, depth=18)
+        real_total = r18_chain.total_act_bytes + r18_chain.input_bytes
+        assert abs(lin.total_act_bytes - real_total) <= lin.length
+
+    def test_pressure_forces_cheap_recompute(self, r18_chain):
+        """8 MB a sample above the fixed + working-set floor forces
+        recomputation, and it stays cheap (rho < 2) — the paper's core
+        point."""
+        floor = account(build_resnet(18, image_size=224)).fixed_bytes + working_set_bytes(
+            r18_chain, 8
+        )
+        plan = plan_real_chain(r18_chain, budget_bytes=int(floor + 8 * 8 * MB), batch_size=8)
+        assert plan.fits
+        assert plan.extra_forward_cost > 0
+        assert plan.rho < 2.0
 
     def test_snapshot_budget_respected(self, r18_chain):
         plan = plan_real_chain(r18_chain, budget_bytes=GB, batch_size=4)

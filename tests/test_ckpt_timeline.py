@@ -46,6 +46,15 @@ class TestTimeline:
         fat = memory_timeline(store_all_schedule(l))
         assert max(p.live_bytes for p in fat) == l + 1
 
+    def test_revolve_trace_is_a_sawtooth(self):
+        """LinearResNet-50 under Revolve c=5 oscillates: its live bytes
+        change direction more than ten times, bounded by c + 1."""
+        trace = memory_timeline(revolve_schedule(50, 5))
+        live = [p.live_bytes for p in trace]
+        assert max(live) <= 5 + 1
+        moves = [b - a for a, b in zip(live, live[1:]) if b != a]
+        assert sum(1 for a, b in zip(moves, moves[1:]) if a * b < 0) > 10
+
     def test_one_point_per_action(self):
         sch = revolve_schedule(10, 2)
         assert len(memory_timeline(sch)) == len(sch.actions)

@@ -191,12 +191,22 @@ class TestExtensionCommands:
             (("viewpoint", "--subjects", "0"), "param 'subjects' must be >= 1, got 0"),
             (("batch-tradeoff", "--images", "0"), "param 'images' must be >= 1, got 0"),
             (("campaign", "--crossings", "-5"), "param 'crossings' must be >= 0, got -5.0"),
+            (("energy", "--gflops", "-1"), "inference_flops_per_frame must be non-negative"),
+            (("energy", "--image-kb", "-1"), "fps, frame_bytes and seconds must be positive"),
+            (("resilience", "--mtbf-hours", "-1"), "MTBF and snapshot cost must be positive"),
+            (("resilience", "--trials", "0"), "trials must be >= 1"),
+            (
+                ("campaign", "--crossings", "inf"),
+                "crossings_per_day must be finite and >= 0, got inf",
+            ),
         ),
         ids=(
             "fleet-nodes0", "fleet-crash-nan", "energy-gflops-nan",
             "campaign-crossings-nan", "resilience-mtbf-nan", "run-bad-param-value",
             "profile-top-negative", "viewpoint-subjects0", "batch-tradeoff-images0",
-            "campaign-crossings-negative",
+            "campaign-crossings-negative", "energy-gflops-negative",
+            "energy-image-kb-negative", "resilience-mtbf-negative", "resilience-trials0",
+            "campaign-crossings-inf",
         ),
     )
     def test_bad_input_exits_2_without_traceback(self, capsys, argv, message):
@@ -328,6 +338,28 @@ class TestSpecCommands:
         assert summary.startswith("lab cache: 0 hits / 1 misses")
         again = run(capsys, *argv)
         assert again.startswith(body) and "lab cache: 1 hits / 0 misses" in again
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("disk-revolve", "--param", "length=20", "--param", "mem_slots=2",
+             "--param", "disk_cost=Infinity"),
+            ("energy", "--param", "gflops=Infinity"),
+        ),
+        ids=("disk-revolve-never-page", "energy-gflops-inf"),
+    )
+    def test_infinite_param_is_cached(self, capsys, tmp_path, argv):
+        """inf round-trips through the cache key, the stored payload and
+        back: the second run is a hit that renders the same text."""
+        argv = ("run", argv[0], "--outdir", str(tmp_path), *argv[1:])
+        first = run(capsys, *argv)
+        assert "lab cache: 0 hits / 1 misses" in first
+        again = run(capsys, *argv)
+        assert "lab cache: 1 hits / 0 misses" in again
+        assert again.rpartition("lab cache")[0] == first.rpartition("lab cache")[0]
+
+    def test_energy_infinite_gflops(self, capsys):
+        assert "local inf kJ -> ship wins" in run(capsys, "energy", "--gflops", "inf")
 
 
 class TestMegafleet:

@@ -70,6 +70,22 @@ class TestCampaign:
         fast = run_campaign(config(crossings_per_day=200.0), ODROID_XU4)
         assert fast.target_day <= slow.target_day
 
+    def test_traffic_sweep(self):
+        """20 / 60 / 200 crossings a day: every level reaches the target,
+        days to target never rise with traffic, storage stays within the
+        card, and wall time never undercuts compute time."""
+        results = [
+            run_campaign(config(crossings_per_day=t, seed=1), ODROID_XU4)
+            for t in (20.0, 60.0, 200.0)
+        ]
+        assert all(res.reached_target for res in results)
+        days = [res.target_day for res in results]
+        assert days == sorted(days, reverse=True)
+        for res in results:
+            assert res.storage_ok
+            for day in res.days:
+                assert day.train_wall_s >= day.train_compute_s
+
     def test_higher_target_takes_longer(self):
         low = run_campaign(config(target_accuracy=0.7), ODROID_XU4)
         high = run_campaign(config(target_accuracy=0.95), ODROID_XU4)

@@ -25,3 +25,9 @@ def test_subclasses_of_repro_error(exc):
 
 def test_repro_error_is_exception():
     assert issubclass(errors.ReproError, Exception)
+
+
+def test_config_error_is_also_a_value_error():
+    assert issubclass(errors.ConfigError, errors.ReproError)
+    with pytest.raises(ValueError):
+        raise errors.ConfigError("out of range")

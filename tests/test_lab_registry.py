@@ -107,6 +107,19 @@ class TestKeys:
         with pytest.raises(LabError):
             lab.canonical_payload({"x": float("nan")})
 
+    def test_infinity_has_one_strict_encoding(self):
+        from repro.lab.spec import dump_json, load_json
+
+        inf = float("inf")
+        assert lab.canonical_params({"d": inf, "e": -inf}) == (
+            '{"d":{"$float":"Infinity"},"e":{"$float":"-Infinity"}}'
+        )
+        assert lab.canonical_payload([inf]) == '[{"$float":"Infinity"}]'
+        assert load_json(dump_json({"d": [inf, -inf, 1.5]})) == {"d": [inf, -inf, 1.5]}
+        # Finite data encodes exactly as before; lookalike objects stay dicts.
+        assert lab.canonical_params({"d": 1.0}) == '{"d":1.0}'
+        assert load_json('{"$float": "x"}') == {"$float": "x"}
+
     def test_key_changes_with_params(self):
         spec = make_spec(params=(lab.Param("x", int, default=1),))
         k1 = lab.unit_key(spec, {"x": 1})

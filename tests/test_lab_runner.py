@@ -75,7 +75,11 @@ class TestCompute:
 
         assert normalize_payload({"t": (1, 2)}) == {"t": [1, 2]}
         with pytest.raises(LabError):
-            normalize_payload({"x": float("inf")})
+            normalize_payload({"x": float("nan")})
+        # inf is legal ("never page"): it survives the strict-JSON round trip.
+        assert normalize_payload({"x": (float("inf"), -float("inf"))}) == {
+            "x": [float("inf"), -float("inf")]
+        }
 
     def test_compute_payload_resolves_deps(self):
         payload = lab.compute_payload("summary")

@@ -73,3 +73,33 @@ class TestMixedPrecision:
     def test_validation(self, fp32):
         with pytest.raises(ValueError):
             mixed_precision_account(fp32, weight_copies=0)
+
+
+def test_precision_and_checkpointing_compose():
+    """ResNet-50 at batch 8: fp32 / AMP / fp16 x store-all / revolve c=5.
+
+    Each lever orders memory on its own, the two compose (fp16 + revolve
+    is the global minimum), and checkpointed fp32 undercuts store-all
+    AMP — precision alone is no substitute for checkpointing.
+    """
+    from repro.checkpointing import memory_for_slots
+    from repro.experiments import memory_models
+
+    batch, depth = 8, 50
+    full = memory_models()[depth].account_ref
+    rows = {}
+    for name, acct in (
+        ("fp32", full),
+        ("amp", mixed_precision_account(full)),
+        ("fp16", cast_account(full)),
+    ):
+        slot = batch * acct.act_bytes_per_sample / depth
+        rows[(name, "store_all")] = acct.total_bytes(batch)
+        rows[(name, "revolve_c5")] = memory_for_slots(5, acct.fixed_bytes, slot)
+
+    for strat in ("store_all", "revolve_c5"):
+        assert rows[("fp16", strat)] < rows[("amp", strat)] < rows[("fp32", strat)]
+    for prec in ("fp32", "amp", "fp16"):
+        assert rows[(prec, "revolve_c5")] < rows[(prec, "store_all")]
+    assert rows[("fp16", "revolve_c5")] == min(rows.values())
+    assert rows[("fp32", "revolve_c5")] < rows[("amp", "store_all")]

@@ -69,7 +69,9 @@ class TestSimulationAgreement:
 class TestYoungDalyRecovery:
     @pytest.mark.parametrize(
         "mtbf_hours,delta",
-        [(6.0, 30.0), (2.0, 5.0)],  # the >= 2 (MTBF, cost) settings
+        # the >= 2 (MTBF, cost) settings, then a flaky SD card and a
+        # stable eMMC node
+        [(6.0, 30.0), (2.0, 5.0), (2.0, 30.0), (12.0, 2.0)],
     )
     def test_sweep_recovers_optimum(self, mtbf_hours, delta):
         """The measured minimum lands on tau*'s grid point or a factor-2

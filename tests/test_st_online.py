@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.autodiff.data import Dataset
 from repro.studentteacher import (
     OnlineAdapter,
     OnlineConfig,
     StudentConfig,
     TeacherModel,
     ViewpointWorld,
+    harvest_labels,
+    track_episode,
+    train_student,
 )
 
 
@@ -53,6 +57,25 @@ class TestOnlineAdapter:
         adapter.finalize()
         late = adapter.accuracy(x_ev, y_ev)
         assert late > early
+
+    def test_streaming_matches_batch_student(self, setting):
+        """Adaptation need not wait for the episode: the online student
+        beats the teacher by the stream's midpoint and ends within five
+        points of a batch student trained on the same episode."""
+        world, teacher, episode, x_ev, y_ev = setting
+        adapter = OnlineAdapter(teacher, 8, 5, OnlineConfig(), seed=1)
+        checkpoints = []
+        for i, frame in enumerate(episode.frames):
+            adapter.process_frame(frame)
+            if i % 50 == 0:
+                checkpoints.append(adapter.accuracy(x_ev, y_ev))
+        adapter.finalize()
+        checkpoints.append(adapter.accuracy(x_ev, y_ev))
+        harvest = harvest_labels(episode, track_episode(episode), teacher)
+        batch = train_student(Dataset(harvest.x, harvest.y), 5, StudentConfig(epochs=20))
+        batch_acc = float((batch.net.forward(x_ev).argmax(axis=1) == y_ev).mean())
+        assert checkpoints[len(checkpoints) // 2] > teacher.accuracy(x_ev, y_ev)
+        assert checkpoints[-1] > batch_acc - 0.05
 
     def test_buffer_grows_and_stays_pure(self, setting):
         adapter, _, _ = run_adapter(setting)

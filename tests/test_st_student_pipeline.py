@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff.data import Dataset
+from repro.edge import ODROID_XU4, ImageStore
 from repro.studentteacher import (
     PipelineConfig,
     StudentConfig,
@@ -85,6 +86,17 @@ class TestPipeline:
     def test_harvest_nontrivial(self, pipeline_result):
         assert len(pipeline_result.harvest) > 200
         assert pipeline_result.harvest.label_purity > 0.7
+
+    def test_paper_section3_claims(self, pipeline_result):
+        """The teacher collapses at 60 degrees and the student recovers
+        most of it; label propagation yields "tens of images" per
+        identification; the harvest fits the ODROID's card trivially."""
+        res = pipeline_result
+        assert res.teacher_by_angle[60.0] < 0.4
+        assert res.student_by_angle[60.0] > 0.8
+        assert res.skew_recovery > 0.4
+        assert len(res.harvest) / max(1, res.harvest.tracks_labelled) >= 10
+        assert ImageStore(capacity_bytes=ODROID_XU4.storage_bytes).fits(len(res.harvest))
 
     def test_storage_sized(self, pipeline_result):
         assert pipeline_result.storage_bytes_needed == len(pipeline_result.harvest) * 10 * 1024
