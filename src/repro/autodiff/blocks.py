@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, at_least
 from .layers import TrainLayer
 
 __all__ = ["ResidualBlockLayer", "AvgPoolLayer", "DropoutLayer"]
@@ -132,9 +132,7 @@ class DropoutLayer(TrainLayer):
 
     def set_step(self, step: int) -> None:
         """Advance the mask stream (one step = one optimizer update)."""
-        if step < 0:
-            raise ValueError("step must be >= 0")
-        self._step = step
+        self._step = at_least("step", step)
 
     def _mask(self, shape: tuple[int, ...]) -> np.ndarray:
         rng = np.random.default_rng((self.seed, self._step))

@@ -11,6 +11,8 @@ from typing import Iterator
 
 import numpy as np
 
+from ..errors import ConfigError, at_least
+
 __all__ = ["Dataset", "gaussian_blobs", "spirals", "image_blobs", "batches"]
 
 
@@ -23,7 +25,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         if self.x.shape[0] != self.y.shape[0]:
-            raise ValueError("x and y must have equal first dimension")
+            raise ConfigError("x and y must have equal first dimension")
 
     def __len__(self) -> int:
         return int(self.x.shape[0])
@@ -98,8 +100,7 @@ def image_blobs(
 
 def batches(data: Dataset, batch_size: int, rng: np.random.Generator | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (x, y) minibatches, optionally shuffled."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    at_least("batch_size", batch_size, 1)
     order = np.arange(len(data)) if rng is None else rng.permutation(len(data))
     for start in range(0, len(data), batch_size):
         idx = order[start : start + batch_size]

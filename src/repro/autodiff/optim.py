@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError, positive
 from .layers import TrainLayer
 
 __all__ = ["Optimizer", "SGD", "Momentum", "Adam"]
@@ -23,10 +24,8 @@ class Optimizer:
     state_copies: int = 0
 
     def __init__(self, layers: list[TrainLayer], lr: float = 1e-2) -> None:
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
         self.layers = layers
-        self.lr = lr
+        self.lr = positive("lr", lr)
 
     def step(self, grads: GradMap) -> None:
         raise NotImplementedError
@@ -44,7 +43,7 @@ class Optimizer:
     def load_state_dict(self, state: dict) -> None:
         """Restore state captured by :meth:`state_dict`."""
         if state:
-            raise ValueError(f"{type(self).__name__} carries no state, got {sorted(state)}")
+            raise ConfigError(f"{type(self).__name__} carries no state, got {sorted(state)}")
 
     @property
     def state_bytes(self) -> int:

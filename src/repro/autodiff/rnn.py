@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, positive
 from .layers import DenseLayer, TrainLayer
 from .network import GradMap, SequentialNet
 
@@ -121,8 +121,7 @@ class UnrolledRNN:
 
     def apply_grads(self, grads: GradMap, lr: float) -> None:
         """Plain SGD on the shared weights + readout."""
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
+        positive("lr", lr)
         combined = self.combine_grads(grads)
         for pname, arr in self.shared.items():
             g = combined.get(("rnn", pname))

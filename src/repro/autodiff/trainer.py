@@ -15,7 +15,7 @@ import numpy as np
 
 from ..checkpointing import Schedule, get_strategy, slots_for_rho
 from ..checkpointing.planner import max_slots_in_budget
-from ..errors import MemoryBudgetError
+from ..errors import ConfigError, MemoryBudgetError, at_least
 from ..obs import get_metrics, get_tracer
 from .blocks import DropoutLayer
 from .data import Dataset, batches
@@ -62,18 +62,17 @@ class TrainerConfig:
     micro_batch_size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.rho is not None and self.rho < 1.0:
-            raise ValueError("rho must be >= 1")
-        if self.slots is not None and self.slots < 1:
-            raise ValueError("slots must be >= 1")
+        at_least("shuffle_seed", self.shuffle_seed)
+        for name, lo in (("epochs", 1), ("batch_size", 1), ("slots", 1), ("rho", 1.0),
+                         ("activation_budget_bytes", 0), ("early_stop_loss", 0)):
+            if getattr(self, name) is not None:
+                at_least(name, getattr(self, name), lo)
         if self.strategy is not None:
             get_strategy(self.strategy)  # fail fast on unknown names
         if self.micro_batch_size is not None and not (
             1 <= self.micro_batch_size <= self.batch_size
         ):
-            raise ValueError("micro_batch_size must be in [1, batch_size]")
+            raise ConfigError("micro_batch_size must be in [1, batch_size]")
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,8 @@ class FitCursor:
     peak_bytes: int = 0
 
     def __post_init__(self) -> None:
-        if self.epoch < 0 or self.batch < 0 or self.step < 0:
-            raise ValueError("cursor fields must be non-negative")
+        for name in ("epoch", "batch", "step", "peak_bytes"):
+            at_least(name, getattr(self, name))
 
 
 @dataclass

@@ -44,12 +44,13 @@ class ChainSpec:
             )
         if len(self.bwd_cost) != l:
             raise ScheduleError(f"bwd_cost must have length l={l}")
-        if any(b < 0 for b in self.act_bytes):
-            raise ScheduleError("activation sizes must be non-negative")
-        if not all(math.isfinite(c) for c in (*self.fwd_cost, *self.bwd_cost)):
-            raise ScheduleError("step costs must be finite")
-        if any(c < 0 for c in self.fwd_cost) or any(c < 0 for c in self.bwd_cost):
-            raise ScheduleError("step costs must be non-negative")
+        # Whole-tuple C-level scans, no Python call per element: plan sweeps
+        # build one spec per point.  isfinite fails NaN and ±inf.
+        if not (all(map(math.isfinite, self.act_bytes)) and min(self.act_bytes) >= 0):
+            raise ScheduleError("activation sizes must be finite and non-negative")
+        costs = (self.fwd_cost, self.bwd_cost)
+        if not all(all(map(math.isfinite, c)) and min(c) >= 0 for c in costs):
+            raise ScheduleError("step costs must be finite and non-negative")
 
     # -- constructors -----------------------------------------------------
     @classmethod

@@ -101,7 +101,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from ..errors import PlanningError, ScheduleError
+from ..errors import PlanningError, ScheduleError, at_least, positive
 from .actions import (
     DISK_SLOT_BASE,
     TIER_DISK,
@@ -248,8 +248,8 @@ class UnitCostObjective(JointObjective):
         read_cost: float = 1.0,
         codec: "CompressionModel | None" = None,
     ) -> None:
-        if not (write_cost >= 0 and read_cost >= 0):
-            raise PlanningError("paging costs must be non-negative")
+        at_least("write_cost", write_cost, inf_ok=True, error=PlanningError)
+        at_least("read_cost", read_cost, inf_ok=True, error=PlanningError)
         self._write = write_cost
         self._read = read_cost
         self.codec = codec
@@ -292,8 +292,7 @@ class TimeObjective(JointObjective):
         unit_seconds: float = 1.0,
         codec: "CompressionModel | None" = None,
     ) -> None:
-        if not (unit_seconds > 0):
-            raise PlanningError("unit_seconds must be positive")
+        positive("unit_seconds", unit_seconds, error=PlanningError)
         self.disk = disk if disk is not None else _default_disk()
         self.unit_seconds = unit_seconds
         self.codec = codec
@@ -357,8 +356,8 @@ class EnergyObjective(JointObjective):
             compute_j_per_unit = model.compute_j_per_flop
         if io_w is None:
             io_w = model.idle_w
-        if not (compute_j_per_unit >= 0 and io_w >= 0):
-            raise PlanningError("energy coefficients must be non-negative")
+        at_least("compute_j_per_unit", compute_j_per_unit, error=PlanningError)
+        at_least("io_w", io_w, error=PlanningError)
         self.disk = disk if disk is not None else _default_disk()
         self.compute_j_per_unit = compute_j_per_unit
         self.io_w = io_w
@@ -664,8 +663,8 @@ def _disk_revolve_args(
     """Validate, then the unit chain, effective RAM budget and objective."""
     if l < 1 or c_m < 1:
         raise ScheduleError("require l >= 1 and c_m >= 1")
-    if not (write_cost >= 0 and read_cost >= 0):
-        raise ScheduleError("disk costs must be non-negative")
+    at_least("write_cost", write_cost, inf_ok=True, error=ScheduleError)
+    at_least("read_cost", read_cost, inf_ok=True, error=ScheduleError)
     spec = ChainSpec.homogeneous(l)
     objective = UnitCostObjective(spec, float(write_cost), float(read_cost))
     return spec, min(c_m, max(1, l - 1)), objective

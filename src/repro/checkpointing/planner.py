@@ -12,8 +12,8 @@ optimizer copies):
 * its peak memory is ``fixed_bytes + (c + 1)·slot_bytes`` — the ``c``
   snapshots plus the in-flight activation, which at ``c = l−1`` recovers
   exactly the store-all footprint of Tables I–III;
-* :func:`slots_for_rho` inverts the first map (binary search, since extra
-  is monotone in c) and :func:`rho_for_budget` inverts the second.
+* :func:`slots_for_rho` inverts the first map (a sorted search, since
+  extra is monotone in c) and :func:`rho_for_budget` inverts the second.
 
 :func:`plan_training` combines them into the user-facing decision: given a
 device budget, pick store-all if it fits, otherwise the optimal Revolve
@@ -35,9 +35,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import MemoryBudgetError, PlanningError
+from ..errors import MemoryBudgetError, PlanningError, at_least, positive
 from .chainspec import ChainSpec
-from .revolve import extra_forwards, min_slots_for_extra
+from .revolve import extra_forwards
 from .strategies import available_strategies, get_strategy, rho_from_extra
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,13 +69,10 @@ def rho_for_slots(l: int, c: int, bwd_ratio: float = 1.0) -> float:
 def slots_for_rho(l: int, rho: float, bwd_ratio: float = 1.0) -> int:
     """Minimal slot count with recompute factor ≤ ``rho``.
 
-    ``rho`` must be ≥ 1; ``rho = 1`` demands no recomputation and returns
-    ``l − 1`` (store-all, the ``c+1 = l`` slot footprint).
+    ``rho`` must be finite and ≥ 1; ``rho = 1`` demands no recomputation
+    and returns ``l − 1`` (store-all, the ``c+1 = l`` slot footprint).
     """
-    if rho < 1.0:
-        raise PlanningError(f"recompute factor must be >= 1, got {rho}")
-    budget = (rho - 1.0) * l * (1.0 + bwd_ratio)
-    return min_slots_for_extra(l, budget)
+    return slots_for_rhos(l, (rho,), bwd_ratio)[0]
 
 
 @lru_cache(maxsize=256)
@@ -94,17 +91,15 @@ def slots_for_rhos(
     rhos: list[float] | tuple[float, ...],
     bwd_ratio: float = 1.0,
 ) -> list[int]:
-    """Batched :func:`slots_for_rho`: minimal slots for every ρ at once.
+    """Minimal slots for every ρ at once (:func:`slots_for_rho` is the
+    one-element case).
 
-    One pass builds the extra-forwards table for ``l``; a single
-    ``np.searchsorted`` then answers the whole grid, replacing one
-    binary search (each re-evaluating the β closed form per probe) per
-    ρ.  Element-for-element identical to calling :func:`slots_for_rho`
-    in a loop, including the validation error for any ρ < 1.
+    One pass builds the extra-forwards table for ``l`` (cached per
+    ``l``); a single ``np.searchsorted`` then answers the whole grid.
+    Every ρ must be finite and ≥ 1.
     """
     for rho in rhos:
-        if rho < 1.0:
-            raise PlanningError(f"recompute factor must be >= 1, got {rho}")
+        at_least("recompute factor", rho, 1.0, error=PlanningError)
     if not rhos:
         return []
     extras = _extras_by_slots(l)
@@ -123,8 +118,7 @@ def slots_for_rhos(
 
 def memory_for_slots(c: int, fixed_bytes: float, slot_bytes: float) -> float:
     """Peak bytes: fixed + (c snapshots + 1 in-flight) activations."""
-    if c < 0:
-        raise PlanningError("slot count must be >= 0")
+    at_least("slot count", c, error=PlanningError)
     return fixed_bytes + (c + 1) * slot_bytes
 
 
@@ -134,8 +128,7 @@ def max_slots_in_budget(budget_bytes: float, fixed_bytes: float, slot_bytes: flo
     Raises :class:`~repro.errors.MemoryBudgetError` when not even one slot
     plus the in-flight activation fits (``c = 1`` is the Revolve minimum).
     """
-    if slot_bytes <= 0:
-        raise PlanningError("slot_bytes must be positive")
+    positive("slot_bytes", slot_bytes, error=PlanningError)
     c = math.floor((budget_bytes - fixed_bytes) / slot_bytes) - 1
     if c < 1:
         need = memory_for_slots(1, fixed_bytes, slot_bytes)
@@ -371,8 +364,7 @@ def measure_frontier(
     unknown = [name for name in families if name not in FRONTIER_FAMILIES]
     if not families or unknown:
         raise PlanningError(f"families must be drawn from {FRONTIER_FAMILIES}, got {families!r}")
-    if not (math.isfinite(unit_seconds) and unit_seconds > 0):
-        raise PlanningError(f"unit_seconds must be finite and positive, got {unit_seconds}")
+    positive("unit_seconds", unit_seconds, error=PlanningError)
     from ..edge.storage import BITTRAIN_SPARSE, SD_CARD
     from ..engine.compressed import CompressedBackend
     from ..engine.tiered import TieredBackend

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import MemoryBudgetError
+from ..errors import MemoryBudgetError, at_least
 from ..graph import SegmentChain
 from .chainspec import ChainSpec
 from .dynprog import budget_schedule, opt_forwards_budget
@@ -86,8 +86,7 @@ def plan_real_chain(
     when the budget cannot hold fixed cost + the worst block working set
     + the chain input.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    at_least("batch_size", batch_size, 1)
     fixed = 4 * chain.weight_bytes + chain.buffer_bytes if fixed_bytes is None else fixed_bytes
     ws = working_set_bytes(chain, batch_size)
     snapshot_budget = budget_bytes - fixed - ws

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import threading
 
-from ..errors import PlanningError, ScheduleError
+from ..errors import PlanningError, ScheduleError, at_least
 from .actions import Action, adjoint, advance, free, restore, snapshot
 from .schedule import Schedule
 
@@ -163,8 +163,7 @@ def min_slots_for_extra(l: int, max_extra: float) -> int:
     ``extra_forwards`` is non-increasing in c, so binary search applies.
     Raises :class:`~repro.errors.PlanningError` for negative budgets.
     """
-    if max_extra < 0:
-        raise PlanningError(f"extra-forwards budget must be >= 0, got {max_extra}")
+    at_least("extra-forwards budget", max_extra, inf_ok=True, error=PlanningError)
     lo, hi = 1, max(1, l - 1)
     if extra_forwards(l, lo) <= max_extra:
         return lo

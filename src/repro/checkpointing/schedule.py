@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from ..errors import ScheduleError
+from ..errors import ScheduleError, at_least
 from .actions import Action, ActionKind
 
 if TYPE_CHECKING:  # pragma: no cover - layering: engine imports this package
@@ -35,8 +35,7 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ScheduleError("schedule length must be >= 1")
-        if self.slots < 0:
-            raise ScheduleError("slot budget must be >= 0")
+        at_least("slot budget", self.slots, error=ScheduleError)
 
     def __len__(self) -> int:
         return len(self.actions)

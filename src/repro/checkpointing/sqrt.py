@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from ..errors import at_least
 from .schedule import Schedule
 from .uniform import uniform_memory_slots, uniform_schedule
 
@@ -19,8 +20,7 @@ __all__ = ["sqrt_segments", "sqrt_memory_slots", "sqrt_schedule"]
 
 def sqrt_segments(l: int) -> int:
     """Chen's segment count: ``round(√l)``, clamped to [1, l]."""
-    if l < 1:
-        raise ValueError("chain length must be >= 1")
+    at_least("chain length", l, 1)
     return max(1, min(l, round(math.sqrt(l))))
 
 

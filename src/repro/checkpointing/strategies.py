@@ -50,7 +50,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..errors import PlanningError
+from ..errors import PlanningError, at_least
 from ..obs import get_metrics, get_tracer
 from .actions import Action, ActionKind, compressed_slot
 from .chainspec import ChainSpec
@@ -99,8 +99,7 @@ def rho_from_extra(l: int, extra: float, bwd_ratio: float = 1.0) -> float:
     against the store-all baseline ``l·u_f + l·u_b`` with
     ``bwd_ratio = u_b/u_f``.
     """
-    if bwd_ratio < 0:
-        raise PlanningError("bwd_ratio must be >= 0")
+    at_least("bwd_ratio", bwd_ratio, error=PlanningError)
     return 1.0 + extra / (l * (1.0 + bwd_ratio))
 
 

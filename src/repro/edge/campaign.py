@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, PlanningError
+from ..errors import ConfigError, PlanningError, at_least, positive
 from .device import Device
 from .simulator import DutyCycleSimulator, estimate_epoch
 from .storage import ImageStore
@@ -42,8 +42,7 @@ class LearningCurve:
     def __post_init__(self) -> None:
         if not 0 <= self.floor < self.ceiling <= 1:
             raise PlanningError("need 0 <= floor < ceiling <= 1")
-        if self.scale <= 0:
-            raise PlanningError("scale must be positive")
+        positive("scale", self.scale, error=PlanningError)
 
     def accuracy(self, n_images):
         """Accuracy after ``n_images`` — scalar in, scalar out; array in,
@@ -58,10 +57,9 @@ class LearningCurve:
         """
         if isinstance(n_images, np.ndarray):
             if n_images.size and float(n_images.min()) < 0:
-                raise ValueError("image count must be non-negative")
+                raise ConfigError("image count must be non-negative")
             return self.ceiling - (self.ceiling - self.floor) * np.exp(-n_images / self.scale)
-        if n_images < 0:
-            raise ValueError("image count must be non-negative")
+        at_least("n_images", n_images)
         return self.ceiling - (self.ceiling - self.floor) * math.exp(-n_images / self.scale)
 
     def images_for(self, target: float) -> int:
@@ -89,10 +87,12 @@ class CampaignConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.crossings_per_day) and self.crossings_per_day >= 0):
-            raise ConfigError(
-                f"crossings_per_day must be finite and >= 0, got {self.crossings_per_day!r}"
-            )
+        for name in ("target_accuracy", "labelled_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        for name, lo in (("crossings_per_day", 0), ("images_per_crossing", 0),
+                         ("epochs_per_session", 1), ("max_days", 1), ("seed", 0)):
+            at_least(name, getattr(self, name), lo)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..errors import ConfigError, at_least, positive
 from ..units import GB
 
 __all__ = ["Device", "ODROID_XU4", "RASPBERRY_PI_3", "RASPBERRY_PI_4", "JETSON_NANO", "GENERIC_2GB", "DEVICE_CATALOG"]
@@ -32,12 +33,13 @@ class Device:
     idle_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.mem_bytes <= 0 or self.storage_bytes < 0:
-            raise ValueError("memory/storage must be positive")
-        if self.cpu_gflops <= 0:
-            raise ValueError("cpu_gflops must be positive")
+        positive("mem_bytes", self.mem_bytes)
+        at_least("storage_bytes", self.storage_bytes)
+        positive("cpu_gflops", self.cpu_gflops)
+        at_least("gpu_gflops", self.gpu_gflops)
+        at_least("cores", self.cores, 1)
         if not 0 < self.idle_fraction <= 1:
-            raise ValueError("idle_fraction must be in (0, 1]")
+            raise ConfigError(f"idle_fraction must be in (0, 1], got {self.idle_fraction}")
 
     @property
     def flops_per_s(self) -> float:

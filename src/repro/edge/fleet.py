@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import PlanningError
+from ..errors import PlanningError, at_least, positive
 from ..obs import get_metrics, get_tracer
 from .campaign import LearningCurve
 
@@ -89,26 +89,20 @@ class FleetConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Each check is phrased ``not (valid)`` so NaN fails it.
-        if not (self.n_nodes >= 1 and self.days >= 1):
+        if not (1 <= self.n_nodes < math.inf and 1 <= self.days < math.inf):
             raise PlanningError("need n_nodes >= 1 and days >= 1")
-        traffic = (self.crossings_per_day_mean, self.images_per_crossing, self.traffic_shape)
-        if not all(0 < x < math.inf for x in traffic):
-            raise PlanningError("traffic mean, images per crossing and shape must be finite, > 0")
+        positive("crossings_per_day_mean", self.crossings_per_day_mean, error=PlanningError)
+        positive("images_per_crossing", self.images_per_crossing, error=PlanningError)
+        positive("traffic_shape", self.traffic_shape, error=PlanningError)
         if not 0.0 <= self.transfer_value <= 1.0:
             raise PlanningError("transfer_value must be in [0, 1]")
-        if not (self.federation_period >= 0):
-            raise PlanningError("federation_period must be >= 0")
-        if not (self.model_bytes >= 0):
-            raise PlanningError("model_bytes must be >= 0")
+        at_least("federation_period", self.federation_period, error=PlanningError)
+        at_least("model_bytes", self.model_bytes, error=PlanningError)
         if not 0.0 <= self.crash_rate_per_day < 1.0:
             raise PlanningError("crash_rate_per_day must be in [0, 1)")
-        if not (self.snapshot_period_days >= 1):
-            raise PlanningError("snapshot_period_days must be >= 1")
-        if not (0 <= self.outage_days_mean < math.inf):
-            raise PlanningError("outage_days_mean must be finite and >= 0")
-        if not (self.seed >= 0):
-            raise PlanningError("seed must be >= 0")
+        at_least("snapshot_period_days", self.snapshot_period_days, 1, error=PlanningError)
+        at_least("outage_days_mean", self.outage_days_mean, error=PlanningError)
+        at_least("seed", self.seed, error=PlanningError)
 
 
 @dataclass(frozen=True)

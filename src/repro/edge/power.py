@@ -24,9 +24,10 @@ Defaults: ~5 µJ/byte (LTE-class radio; WiFi can be 10× cheaper) and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..errors import ConfigError, at_least
 
 __all__ = [
     "EnergyModel",
@@ -46,20 +47,17 @@ class EnergyModel:
     idle_w: float = 2.0  # baseline draw, charged to wall-clock seconds
 
     def __post_init__(self) -> None:
-        if self.radio_j_per_byte < 0 or self.compute_j_per_flop < 0 or self.idle_w < 0:
-            raise ValueError("energy coefficients must be non-negative")
+        at_least("radio_j_per_byte", self.radio_j_per_byte)
+        at_least("compute_j_per_flop", self.compute_j_per_flop)
+        at_least("idle_w", self.idle_w)
 
     def transfer_energy(self, nbytes: float) -> float:
         """Joules to move ``nbytes`` over the radio."""
-        if nbytes < 0:
-            raise ValueError("bytes must be non-negative")
-        return nbytes * self.radio_j_per_byte
+        return at_least("nbytes", nbytes) * self.radio_j_per_byte
 
     def compute_energy(self, flops: float) -> float:
         """Joules to execute ``flops``."""
-        if flops < 0:
-            raise ValueError("flops must be non-negative")
-        return flops * self.compute_j_per_flop
+        return at_least("flops", flops, inf_ok=True) * self.compute_j_per_flop
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,9 @@ def compare_strategies_energy(
     ``local`` runs ``epochs`` fwd+bwd passes over the set at recompute
     factor ``rho`` (which multiplies the *forward* recomputation only).
     """
-    if n_images < 0 or epochs < 1:
-        raise ValueError("need n_images >= 0 and epochs >= 1")
-    if rho < 1.0:
-        raise ValueError("rho must be >= 1")
+    at_least("n_images", n_images)
+    at_least("epochs", epochs, 1)
+    at_least("rho", rho, 1.0)
     ship = model.transfer_energy(n_images * image_bytes + model_bytes)
     fwd = flops_per_sample
     # one fwd (+ recompute overhead) + backward, per sample per epoch
@@ -148,9 +145,9 @@ def streaming_comparison(
     uploads every frame for the given duration; ``local`` runs the
     model per frame on the node.
     """
-    if fps <= 0 or frame_bytes <= 0 or seconds <= 0:
+    if not all(0 < x < math.inf for x in (fps, frame_bytes, seconds)):
         raise ConfigError("fps, frame_bytes and seconds must be positive")
-    if inference_flops_per_frame < 0:
+    if not inference_flops_per_frame >= 0:
         raise ConfigError("inference_flops_per_frame must be non-negative")
     n_frames = fps * seconds
     ship = model.transfer_energy(n_frames * frame_bytes)

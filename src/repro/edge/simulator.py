@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import MemoryBudgetError
+from ..errors import ConfigError, MemoryBudgetError, at_least, positive
 from ..checkpointing.planner import TrainingPlan, plan_training
 from ..obs import get_metrics, get_tracer
 from .device import Device
@@ -47,10 +47,9 @@ def batch_efficiency(batch_size: int, full_at: int = 32, floor: float = 0.15) ->
     ``full_at``.  Chosen for its shape, not its constants — benches sweep
     them.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    at_least("batch_size", batch_size, 1)
     if not 0 < floor <= 1:
-        raise ValueError("floor must be in (0, 1]")
+        raise ConfigError(f"floor must be in (0, 1], got {floor}")
     frac = min(1.0, math.sqrt(batch_size / full_at))
     return floor + (1.0 - floor) * frac
 
@@ -70,9 +69,7 @@ class EpochEstimate:
     @property
     def rho(self) -> float:
         """Recompute factor of the plan (≥ 1; never a silent 0/0)."""
-        if self.plan.rho < 1.0:
-            raise ValueError(f"plan carries invalid rho {self.plan.rho}")
-        return self.plan.rho
+        return at_least("plan rho", self.plan.rho, 1.0)
 
     @property
     def epoch_seconds(self) -> float:
@@ -81,9 +78,7 @@ class EpochEstimate:
     @property
     def samples_per_second(self) -> float:
         """Throughput; ``inf`` for a (degenerate) zero-time step."""
-        if self.step_seconds < 0:
-            raise ValueError("step_seconds must be >= 0")
-        if self.step_seconds == 0:
+        if at_least("step_seconds", self.step_seconds) == 0:
             return float("inf")
         return self.batch_size / self.step_seconds
 
@@ -109,8 +104,7 @@ def estimate_epoch(
         model=workload.model,
     )
     eff = batch_efficiency(workload.batch_size, full_at=full_at, floor=floor)
-    if device.flops_per_s <= 0:
-        raise ValueError(f"device {device.name!r} has non-positive flops_per_s")
+    positive(f"device {device.name!r} flops_per_s", device.flops_per_s)
     step_seconds = workload.step_flops * plan.rho / (device.flops_per_s * eff)
     return EpochEstimate(
         model=workload.model,
@@ -160,9 +154,7 @@ class DutyCycleResult:
         """``compute / wall``; 1.0 for the empty run, ``inf``/``ValueError``
         for denominators the simulation cannot produce (hand-built
         results with zero or negative wall time)."""
-        if self.wall_seconds < 0:
-            raise ValueError("wall_seconds must be >= 0")
-        if self.wall_seconds == 0:
+        if at_least("wall_seconds", self.wall_seconds) == 0:
             return 1.0 if self.compute_seconds == 0 else float("inf")
         return self.compute_seconds / self.wall_seconds
 
@@ -183,11 +175,9 @@ class DutyCycleSimulator:
         arrival_rate_per_hour: float = 6.0,
         mean_task_seconds: float = 300.0,
     ) -> None:
-        if arrival_rate_per_hour < 0 or mean_task_seconds < 0:
-            raise ValueError("rates and durations must be non-negative")
         self.rng = rng
-        self.arrival_rate = arrival_rate_per_hour / 3600.0
-        self.mean_task_seconds = mean_task_seconds
+        self.arrival_rate = at_least("arrival_rate_per_hour", arrival_rate_per_hour) / 3600.0
+        self.mean_task_seconds = at_least("mean_task_seconds", mean_task_seconds)
 
     @property
     def expected_idle_fraction(self) -> float:
@@ -196,8 +186,7 @@ class DutyCycleSimulator:
 
     def run(self, compute_seconds: float) -> DutyCycleResult:
         """Wall-clock time to accumulate ``compute_seconds`` of training."""
-        if compute_seconds < 0:
-            raise ValueError("compute_seconds must be non-negative")
+        at_least("compute_seconds", compute_seconds)
         with get_tracer().span(
             "duty_cycle", category="edge", compute_seconds=compute_seconds
         ) as span:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import MemoryBudgetError
+from ..errors import ConfigError, MemoryBudgetError, at_least, positive
 from ..units import KB, MB
 
 __all__ = [
@@ -56,16 +56,12 @@ class ImageStore:
     image_bytes: int = int(PAPER_IMAGE_KB * KB)
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes < 0:
-            raise ValueError("capacity must be non-negative")
-        if self.image_bytes <= 0:
-            raise ValueError("image size must be positive")
+        at_least("capacity_bytes", self.capacity_bytes)
+        positive("image_bytes", self.image_bytes)
 
     def dataset_bytes(self, n_images: int) -> int:
         """Bytes needed for ``n_images``."""
-        if n_images < 0:
-            raise ValueError("image count must be non-negative")
-        return n_images * self.image_bytes
+        return at_least("n_images", n_images) * self.image_bytes
 
     @property
     def max_images(self) -> int:
@@ -104,26 +100,23 @@ class StorageProfile:
     read_latency_s: float | None = None
 
     def __post_init__(self) -> None:
-        # Written as ``not (x > 0)`` so NaN is rejected too; inf is legal.
-        if not (self.write_bytes_per_s > 0):
-            raise ValueError("write bandwidth must be positive")
-        if not (self.write_latency_s >= 0):
-            raise ValueError("write latency must be non-negative")
-        if self.read_bytes_per_s is not None and not (self.read_bytes_per_s > 0):
-            raise ValueError("read bandwidth must be positive")
-        if self.read_latency_s is not None and not (self.read_latency_s >= 0):
-            raise ValueError("read latency must be non-negative")
+        positive("write_bytes_per_s", self.write_bytes_per_s, inf_ok=True)
+        at_least("write_latency_s", self.write_latency_s, inf_ok=True)
+        if self.read_bytes_per_s is not None:
+            positive("read_bytes_per_s", self.read_bytes_per_s, inf_ok=True)
+        if self.read_latency_s is not None:
+            at_least("read_latency_s", self.read_latency_s, inf_ok=True)
 
     def write_seconds(self, n_bytes: int) -> float:
         """Seconds to durably write ``n_bytes``."""
         if n_bytes < 0:
-            raise ValueError("byte count must be non-negative")
+            raise ConfigError("byte count must be non-negative")
         return self.write_latency_s + n_bytes / self.write_bytes_per_s
 
     def read_seconds(self, n_bytes: int) -> float:
         """Seconds to read ``n_bytes`` back."""
         if n_bytes < 0:
-            raise ValueError("byte count must be non-negative")
+            raise ConfigError("byte count must be non-negative")
         latency = self.read_latency_s if self.read_latency_s is not None else self.write_latency_s
         bw = self.read_bytes_per_s if self.read_bytes_per_s is not None else self.write_bytes_per_s
         return latency + n_bytes / bw
@@ -162,16 +155,14 @@ class CompressionModel:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ratio <= 1.0:
-            raise ValueError("compression ratio must be in (0, 1]")
-        # Written as ``not (x > 0)`` so NaN is rejected too; inf is legal.
-        if self.compress_bytes_per_s is not None and not (self.compress_bytes_per_s > 0):
-            raise ValueError("compress bandwidth must be positive")
-        if self.decompress_bytes_per_s is not None and not (self.decompress_bytes_per_s > 0):
-            raise ValueError("decompress bandwidth must be positive")
-        if not (self.compress_latency_s >= 0 and self.decompress_latency_s >= 0):
-            raise ValueError("codec latency must be non-negative")
-        if not (self.fidelity_loss >= 0):
-            raise ValueError("fidelity loss must be non-negative")
+            raise ConfigError(f"compression ratio must be in (0, 1], got {self.ratio}")
+        if self.compress_bytes_per_s is not None:
+            positive("compress_bytes_per_s", self.compress_bytes_per_s, inf_ok=True)
+        if self.decompress_bytes_per_s is not None:
+            positive("decompress_bytes_per_s", self.decompress_bytes_per_s, inf_ok=True)
+        at_least("compress_latency_s", self.compress_latency_s, inf_ok=True)
+        at_least("decompress_latency_s", self.decompress_latency_s, inf_ok=True)
+        at_least("fidelity_loss", self.fidelity_loss)
 
     @property
     def lossless(self) -> bool:
@@ -180,7 +171,7 @@ class CompressionModel:
     def compressed_bytes(self, n_bytes: int) -> int:
         """Stored size of an ``n_bytes`` activation (never below 1 byte)."""
         if n_bytes < 0:
-            raise ValueError("byte count must be non-negative")
+            raise ConfigError("byte count must be non-negative")
         if n_bytes == 0:
             return 0
         return max(1, int(n_bytes * self.ratio))
@@ -188,7 +179,7 @@ class CompressionModel:
     def compress_seconds(self, n_bytes: int) -> float:
         """Codec seconds to encode ``n_bytes`` of raw activation."""
         if n_bytes < 0:
-            raise ValueError("byte count must be non-negative")
+            raise ConfigError("byte count must be non-negative")
         if self.compress_bytes_per_s is None:
             return 0.0
         return self.compress_latency_s + n_bytes / self.compress_bytes_per_s
@@ -196,7 +187,7 @@ class CompressionModel:
     def decompress_seconds(self, n_bytes: int) -> float:
         """Codec seconds to decode back to ``n_bytes`` of raw activation."""
         if n_bytes < 0:
-            raise ValueError("byte count must be non-negative")
+            raise ConfigError("byte count must be non-negative")
         bw = (
             self.decompress_bytes_per_s
             if self.decompress_bytes_per_s is not None

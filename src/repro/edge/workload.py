@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..errors import at_least, positive
+
 __all__ = ["TrainingWorkload"]
 
 
@@ -30,14 +32,10 @@ class TrainingWorkload:
     bwd_ratio: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.chain_length < 1:
-            raise ValueError("chain_length must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.n_images < 1 or self.epochs < 1:
-            raise ValueError("n_images and epochs must be >= 1")
-        if self.flops_per_sample <= 0:
-            raise ValueError("flops_per_sample must be positive")
+        for name, lo in (("chain_length", 1), ("n_images", 1), ("epochs", 1), ("batch_size", 1),
+                         ("slot_act_bytes_per_sample", 0), ("fixed_bytes", 0), ("bwd_ratio", 0)):
+            at_least(name, getattr(self, name), lo)
+        positive("flops_per_sample", self.flops_per_sample)
 
     @property
     def slot_bytes(self) -> int:

@@ -2,10 +2,13 @@
 
 Every error raised deliberately by the library derives from
 :class:`ReproError` so downstream users can catch library failures
-distinctly from programming errors.
+distinctly from programming errors.  :func:`at_least` and
+:func:`positive` are the one rule for a legal number at a config boundary.
 """
 
 from __future__ import annotations
+
+import math
 
 __all__ = [
     "ReproError",
@@ -22,6 +25,8 @@ __all__ = [
     "LabError",
     "ArtifactError",
     "ManifestError",
+    "at_least",
+    "positive",
 ]
 
 
@@ -91,3 +96,22 @@ class ArtifactError(LabError):
 
 class ManifestError(LabError):
     """A provenance manifest is malformed or inconsistent with its artifacts."""
+
+
+
+def at_least(name: str, value, lo=0, *, inf_ok=False, error: type[ReproError] = ConfigError):
+    """Return ``value`` if it is finite and ``>= lo``; else raise ``error``.
+
+    NaN and ``-inf`` always fail.  ``+inf`` passes only with ``inf_ok``,
+    for quantities where infinity means "never" (a bandwidth, an MTBF).
+    """
+    if value >= lo and (inf_ok or value != math.inf):
+        return value
+    raise error(f"{name} must be {'' if inf_ok else 'finite and '}>= {lo}, got {value}")
+
+
+def positive(name: str, value, *, inf_ok=False, error: type[ReproError] = ConfigError):
+    """Return ``value`` if it is finite and ``> 0``; else raise ``error`` (as :func:`at_least`)."""
+    if value > 0 and (inf_ok or value != math.inf):
+        return value
+    raise error(f"{name} must be {'' if inf_ok else 'finite and '}> 0, got {value}")

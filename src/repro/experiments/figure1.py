@@ -25,6 +25,7 @@ from ..checkpointing import (
 )
 from ..edge.device import ODROID_XU4
 from ..edge.storage import EMMC, SD_CARD, compression_models
+from ..errors import ConfigError
 from ..graph import homogenize
 from ..lab import Param, UnitDef, experiment
 from ..memory import calibrated_models
@@ -58,7 +59,7 @@ PANELS: dict[str, tuple[int, int]] = {
 def default_rhos(n: int = 41, lo: float = 1.0, hi: float = 3.0) -> tuple[float, ...]:
     """The ρ grid used for the curves (paper plots roughly ρ ∈ [1, 3])."""
     if n < 2:
-        raise ValueError("need at least 2 grid points")
+        raise ConfigError("need at least 2 grid points")
     step = (hi - lo) / (n - 1)
     return tuple(lo + i * step for i in range(n))
 
@@ -150,7 +151,7 @@ def _ascii_from_points(
     )
 
 
-def figure1_ascii(panel: str, source: str = "paper", log_mb: bool = False) -> str:
+def figure1_ascii(panel: str, source: str = "paper") -> str:
     """Render one panel as an ASCII plot with the 2 GB budget line."""
     series = figure1_panel(panel, source)
     return _ascii_from_points(panel, source, [(s.name, list(s.points)) for s in series])

@@ -11,6 +11,7 @@ import io
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..errors import ConfigError
 from ..lab.spec import dump_json
 
 __all__ = [
@@ -34,10 +35,10 @@ class Table:
 
     def __post_init__(self) -> None:
         if len(self.cells) != len(self.row_labels):
-            raise ValueError("cells rows must match row_labels")
+            raise ConfigError("cells rows must match row_labels")
         for row in self.cells:
             if len(row) != len(self.col_labels):
-                raise ValueError("cells cols must match col_labels")
+                raise ConfigError("cells cols must match col_labels")
 
     def render(self) -> str:
         """Fixed-width ASCII rendering."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import GraphError
+from ..errors import GraphError, at_least
 from .network import Graph
 
 __all__ = ["ChainStage", "SegmentChain", "cut_points", "linearize", "homogenize", "LinearChain"]
@@ -96,8 +96,8 @@ class LinearChain:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise GraphError("LinearChain length must be >= 1")
-        if self.act_bytes < 0 or self.weight_bytes < 0:
-            raise GraphError("LinearChain sizes must be non-negative")
+        for name in ("act_bytes", "weight_bytes", "step_flops", "input_bytes"):
+            at_least(name, getattr(self, name), error=GraphError)
 
     @property
     def total_act_bytes(self) -> int:

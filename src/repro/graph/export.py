@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..errors import ConfigError
 from ..units import humanize_bytes
 from .network import Graph
 
@@ -26,7 +27,7 @@ def to_dot(graph: Graph, rankdir: str = "TB") -> str:
     per-sample byte size of the tensor flowing along them.
     """
     if rankdir not in ("TB", "LR"):
-        raise ValueError("rankdir must be 'TB' or 'LR'")
+        raise ConfigError("rankdir must be 'TB' or 'LR'")
     graph.infer()
     lines = [f"digraph {_quote(graph.name)} {{", f"  rankdir={rankdir};"]
     lines.append('  node [shape=box, fontsize=10];')

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import ConfigError, at_least, positive
 from .network import Graph
 
 __all__ = ["FlopReport", "flop_report", "estimate_step_seconds"]
@@ -53,10 +54,8 @@ def estimate_step_seconds(
     workload achieves (edge CPUs at small batch sizes sit well below peak —
     see :mod:`repro.edge.simulator` for the batch-efficiency curve).
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    at_least("batch_size", batch_size, 1)
     if not 0 < efficiency <= 1:
-        raise ValueError("efficiency must be in (0, 1]")
-    if device_flops_per_s <= 0:
-        raise ValueError("device_flops_per_s must be positive")
+        raise ConfigError(f"efficiency must be in (0, 1], got {efficiency}")
+    positive("device_flops_per_s", device_flops_per_s)
     return flops_per_sample * batch_size / (device_flops_per_s * efficiency)

@@ -20,28 +20,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import uuid
 from pathlib import Path
 from typing import Any, Iterator
 
+from ..atomic import atomic_write_text
 from ..errors import ArtifactError
 from .spec import canonical_payload, dump_json, load_json
 
 __all__ = ["ArtifactStore", "PAYLOAD_VERSION"]
 
 PAYLOAD_VERSION = 1
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 class ArtifactStore:
@@ -69,7 +57,7 @@ class ArtifactStore:
             "payload": payload,
         }
         path = self.cache_path(key)
-        _atomic_write_text(path, dump_json(doc, indent=1))
+        atomic_write_text(path, dump_json(doc, indent=1))
         return path
 
     def load_payload(self, key: str) -> Any:
@@ -128,7 +116,7 @@ class ArtifactStore:
                 return path, False
         except OSError:
             pass
-        _atomic_write_text(path, text)
+        atomic_write_text(path, text)
         return path, True
 
     @staticmethod
@@ -142,7 +130,7 @@ class ArtifactStore:
 
     def write_manifest(self, stem: str, doc: dict) -> Path:
         path = self.manifest_path(stem)
-        _atomic_write_text(path, json.dumps(doc, indent=1, allow_nan=False))
+        atomic_write_text(path, json.dumps(doc, indent=1, allow_nan=False))
         return path
 
     def read_manifest(self, stem: str) -> dict | None:

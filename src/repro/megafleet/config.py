@@ -16,10 +16,9 @@ unique and renaming a cohort reseeds it.  Reordering cohorts does not.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from ..errors import PlanningError
+from ..errors import PlanningError, at_least, positive
 from ..edge.campaign import LearningCurve
 from ..edge.storage import EMMC, SD_CARD, StorageProfile
 
@@ -87,11 +86,10 @@ class DeviceCohort:
     outage_days_mean: float = 1.0
 
     def __post_init__(self) -> None:
-        # Each check is phrased ``not (valid)`` so NaN fails it.
         if not self.name:
             raise PlanningError("cohort needs a name (it seeds the RNG)")
-        if not (self.count >= 1):
-            raise PlanningError(f"cohort {self.name!r}: count must be >= 1")
+        who = f"cohort {self.name!r}:"
+        at_least(f"{who} count", self.count, 1, error=PlanningError)
         if self.model_depth not in MODEL_DEPTHS:
             raise PlanningError(
                 f"cohort {self.name!r}: model depth {self.model_depth} "
@@ -102,19 +100,14 @@ class DeviceCohort:
                 f"cohort {self.name!r}: unknown storage {self.storage!r} "
                 f"(have: {sorted(STORAGE_PROFILES)})"
             )
-        rates = (self.crossings_per_day_mean, self.images_per_crossing)
-        if not all(0 < r < math.inf for r in rates):
-            raise PlanningError(f"cohort {self.name!r}: traffic rates must be finite and > 0")
-        if not (1 <= self.traffic_shape < math.inf):
-            raise PlanningError(f"cohort {self.name!r}: traffic_shape must be >= 1")
+        positive(f"{who} crossings_per_day_mean", self.crossings_per_day_mean, error=PlanningError)
+        positive(f"{who} images_per_crossing", self.images_per_crossing, error=PlanningError)
+        at_least(f"{who} traffic_shape", self.traffic_shape, 1, error=PlanningError)
         if not 0.0 < self.duty_cycle <= 1.0:
-            raise PlanningError(f"cohort {self.name!r}: duty_cycle must be in (0, 1]")
-        if not (self.mtbf_days >= 0):
-            raise PlanningError(f"cohort {self.name!r}: mtbf_days must be >= 0")
-        if not (self.snapshot_period_days >= 1):
-            raise PlanningError(f"cohort {self.name!r}: snapshot_period_days must be >= 1")
-        if not (0 <= self.outage_days_mean < math.inf):
-            raise PlanningError(f"cohort {self.name!r}: outage_days_mean must be finite, >= 0")
+            raise PlanningError(f"{who} duty_cycle must be in (0, 1]")
+        at_least(f"{who} mtbf_days", self.mtbf_days, inf_ok=True, error=PlanningError)
+        at_least(f"{who} snapshot_period_days", self.snapshot_period_days, 1, error=PlanningError)
+        at_least(f"{who} outage_days_mean", self.outage_days_mean, error=PlanningError)
 
     @property
     def storage_profile(self) -> StorageProfile:
@@ -147,14 +140,11 @@ class MegaFleetConfig:
         names = [c.name for c in self.cohorts]
         if len(set(names)) != len(names):
             raise PlanningError(f"cohort names must be unique, got {names}")
-        if self.days < 1:
-            raise PlanningError("days must be >= 1")
+        at_least("days", self.days, 1, error=PlanningError)
         if not 0.0 <= self.transfer_value <= 1.0:
             raise PlanningError("transfer_value must be in [0, 1]")
-        if self.federation_period < 0:
-            raise PlanningError("federation_period must be >= 0")
-        if self.report_every < 0:
-            raise PlanningError("report_every must be >= 0")
+        at_least("federation_period", self.federation_period, error=PlanningError)
+        at_least("report_every", self.report_every, error=PlanningError)
 
     @property
     def n_devices(self) -> int:

@@ -27,6 +27,8 @@ import hashlib
 
 import numpy as np
 
+from ..errors import ConfigError
+
 __all__ = [
     "TAG_CRASH",
     "TAG_OUTAGE",
@@ -120,7 +122,7 @@ def erlang(keys: np.ndarray, tag: np.uint64, shape: int, scale) -> np.ndarray:
     Gamma-style heterogeneity without a stateful generator.
     """
     if shape < 1:
-        raise ValueError("erlang shape must be a positive integer")
+        raise ConfigError("erlang shape must be a positive integer")
     total = np.zeros(keys.shape, dtype=np.float64)
     for j in range(shape):
         total -= np.log1p(-uniforms(keys, tag, _U64(j)))

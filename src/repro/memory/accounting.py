@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import at_least, positive
 from ..graph import Graph
 
 __all__ = [
@@ -63,10 +64,8 @@ class AccountingPolicy:
     activation_copies: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.weight_copies < 1:
-            raise ValueError("weight_copies must be >= 1")
-        if self.activation_copies <= 0:
-            raise ValueError("activation_copies must be positive")
+        at_least("weight_copies", self.weight_copies, 1)
+        positive("activation_copies", self.activation_copies)
 
 
 INFERENCE_POLICY = AccountingPolicy(
@@ -93,8 +92,7 @@ class MemoryAccount:
 
     def total_bytes(self, batch_size: int) -> int:
         """Fixed + batch-scaled activation bytes."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        at_least("batch_size", batch_size, 1)
         return self.fixed_bytes + batch_size * self.act_bytes_per_sample
 
 

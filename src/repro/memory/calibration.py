@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import CalibrationError
+from ..errors import CalibrationError, at_least
 from ..units import MB
 
 __all__ = [
@@ -95,8 +95,7 @@ class CalibratedModel:
         return self.act224_bytes * (image_size / 224.0) ** 2
 
     def total_bytes(self, batch_size: int = 1, image_size: int = 224) -> float:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        at_least("batch_size", batch_size, 1)
         return self.fixed_bytes + batch_size * self.act_bytes(image_size)
 
     def total_mb(self, batch_size: int = 1, image_size: int = 224) -> float:

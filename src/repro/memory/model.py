@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..errors import MemoryBudgetError
+from ..errors import MemoryBudgetError, at_least
 from ..graph import Graph
 from .accounting import AccountingPolicy, MemoryAccount, TRAINING_POLICY, account
 
@@ -63,8 +63,7 @@ class MemoryModel:
 
     def total_bytes(self, batch_size: int = 1, image_size: int | None = None, exact: bool = True) -> int:
         """``M_fixed + k · M_act(s)`` in bytes."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        at_least("batch_size", batch_size, 1)
         s = self.ref_image if image_size is None else image_size
         return self.fixed_bytes + batch_size * self.act_bytes(s, exact=exact)
 
@@ -105,8 +104,7 @@ def n_max(
     ``budget_bytes``.  ``weight_copies`` generalizes ``M_W`` to include
     optimizer copies.  Returns 0 when nothing fits.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    at_least("batch_size", batch_size, 1)
     spare = budget_bytes - weight_copies * weight_bytes
     if spare <= 0 or act_bytes_per_layer <= 0:
         return 0

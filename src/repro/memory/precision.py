@@ -16,6 +16,7 @@ transforms rescale an existing :class:`~repro.memory.accounting.MemoryAccount`:
 
 from __future__ import annotations
 
+from ..errors import at_least, positive
 from .accounting import MemoryAccount
 
 __all__ = ["cast_account", "mixed_precision_account"]
@@ -28,8 +29,9 @@ def cast_account(
     base_bytes_per_elem: int = 4,
 ) -> MemoryAccount:
     """Uniformly recast an fp32 account to new element widths."""
-    if weight_bytes_per_elem <= 0 or act_bytes_per_elem <= 0:
-        raise ValueError("element widths must be positive")
+    positive("weight_bytes_per_elem", weight_bytes_per_elem)
+    positive("act_bytes_per_elem", act_bytes_per_elem)
+    positive("base_bytes_per_elem", base_bytes_per_elem)
     wf = weight_bytes_per_elem / base_bytes_per_elem
     af = act_bytes_per_elem / base_bytes_per_elem
     return MemoryAccount(
@@ -51,8 +53,7 @@ def mixed_precision_account(acct: MemoryAccount, weight_copies: int = 4) -> Memo
     copies (plus fp32 buffers); activations halve.  ``weight_copies``
     must match the policy the account was built with.
     """
-    if weight_copies < 1:
-        raise ValueError("weight_copies must be >= 1")
+    at_least("weight_copies", weight_copies, 1)
     w = acct.weight_bytes  # one fp32 copy
     fixed = (weight_copies - 1) * w + w // 2 + acct.buffer_bytes
     return MemoryAccount(

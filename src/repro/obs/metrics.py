@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import threading
 
+from ..errors import ConfigError
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -40,7 +42,7 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         if n < 0:
-            raise ValueError("counters only go up; use a Gauge for deltas")
+            raise ConfigError("counters only go up; use a Gauge for deltas")
         with self._lock:
             self._value += n
 
@@ -124,7 +126,7 @@ class Histogram:
         retained sample window beyond that.  0.0 when empty.
         """
         if not 0 <= q <= 100:
-            raise ValueError("percentile q must be in [0, 100]")
+            raise ConfigError("percentile q must be in [0, 100]")
         with self._lock:
             ordered = sorted(self._samples)
         if not ordered:
@@ -174,7 +176,7 @@ class Metrics:
             if inst is None:
                 inst = self._instruments[name] = cls(name)
             elif not isinstance(inst, cls):
-                raise ValueError(
+                raise ConfigError(
                     f"metric {name!r} is a {type(inst).__name__}, not a {cls.__name__}"
                 )
             return inst

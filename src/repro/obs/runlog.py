@@ -36,6 +36,8 @@ import time
 from pathlib import Path
 from typing import Any, Mapping
 
+from ..atomic import atomic_write_text
+from ..errors import ConfigError
 from .metrics import get_metrics
 from .tracer import Tracer, set_tracer
 
@@ -218,15 +220,8 @@ class UnitCapture:
 
 
 # ---------------------------------------------------------------------------
-# Persistence (atomic, the lab store's temp-file + os.replace pattern)
+# Persistence
 # ---------------------------------------------------------------------------
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def runlog_lines(record: Mapping[str, Any]) -> str:
@@ -245,7 +240,7 @@ def runlog_lines(record: Mapping[str, Any]) -> str:
 def write_unit_runlog(directory: str | Path, record: Mapping[str, Any]) -> Path:
     """Persist one unit record as ``<directory>/<unit_key>.jsonl``."""
     path = Path(directory) / f"{record['unit']['key']}.jsonl"
-    _atomic_write_text(path, runlog_lines(record))
+    atomic_write_text(path, runlog_lines(record))
     return path
 
 
@@ -269,14 +264,14 @@ def read_unit_runlog(path: str | Path) -> dict[str, Any]:
         elif kind == "metrics":
             deltas = doc.get("deltas", {})
     if unit is None:
-        raise ValueError(f"runlog {path} has no unit header line")
+        raise ConfigError(f"runlog {path} has no unit header line")
     return {"unit": unit, "spans": spans, "events": events, "metric_deltas": deltas}
 
 
 def write_campaign_record(directory: str | Path, doc: Mapping[str, Any]) -> Path:
     """Persist the parent's per-run campaign record next to the runlogs."""
     path = Path(directory) / CAMPAIGN_FILENAME
-    _atomic_write_text(path, json.dumps(doc, indent=1, default=str) + "\n")
+    atomic_write_text(path, json.dumps(doc, indent=1, default=str) + "\n")
     return path
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, PlanningError
+from ..errors import ConfigError, PlanningError, at_least, positive
 from ..obs import get_tracer
 from .faults import FaultModel, PoissonFaults
 from .recovery import run_duty_cycle_with_faults
@@ -62,12 +62,11 @@ def daly_expected_makespan(
     order interval analysis).  The final, possibly partial segment
     skips the snapshot write, matching the simulator's timeline.
     """
-    if work_seconds < 0:
-        raise ValueError("work_seconds must be non-negative")
-    if interval_seconds <= 0 or mtbf_seconds <= 0:
-        raise ValueError("interval and MTBF must be positive")
-    if snapshot_seconds < 0 or restart_seconds < 0:
-        raise ValueError("costs must be non-negative")
+    at_least("work_seconds", work_seconds)
+    positive("interval_seconds", interval_seconds)
+    at_least("snapshot_seconds", snapshot_seconds)
+    at_least("restart_seconds", restart_seconds)
+    positive("mtbf_seconds", mtbf_seconds)
     if work_seconds == 0:
         return 0.0
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FaultError
+from ..errors import ConfigError, FaultError, at_least, positive
 from ..obs import get_metrics, get_tracer
 
 __all__ = [
@@ -65,8 +65,7 @@ class FaultModel:
     ) -> tuple[float, ...]:
         """Absolute crash times in ``[0, horizon)`` (renewal process:
         each reboot restarts the clock)."""
-        if horizon_seconds < 0:
-            raise ValueError("horizon must be non-negative")
+        at_least("horizon_seconds", horizon_seconds)
         times: list[float] = []
         t = self.sample_time_to_failure(rng)
         while t < horizon_seconds:
@@ -82,8 +81,7 @@ class PoissonFaults(FaultModel):
     mtbf_seconds: float = 12 * 3600.0
 
     def __post_init__(self) -> None:
-        if self.mtbf_seconds <= 0:
-            raise ValueError("mtbf_seconds must be positive")
+        positive("mtbf_seconds", self.mtbf_seconds, inf_ok=True)
 
     def sample_time_to_failure(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(self.mtbf_seconds))
@@ -103,8 +101,8 @@ class WeibullFaults(FaultModel):
     shape: float = 0.7
 
     def __post_init__(self) -> None:
-        if self.mtbf_seconds <= 0 or self.shape <= 0:
-            raise ValueError("mtbf_seconds and shape must be positive")
+        positive("mtbf_seconds", self.mtbf_seconds, inf_ok=True)
+        positive("shape", self.shape)
         self._scale = self.mtbf_seconds / math.gamma(1.0 + 1.0 / self.shape)
 
     def sample_time_to_failure(self, rng: np.random.Generator) -> float:
@@ -129,10 +127,9 @@ class PowerLossFaults(FaultModel):
     loss_probability: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.arrival_rate_per_hour <= 0:
-            raise ValueError("arrival_rate_per_hour must be positive")
+        positive("arrival_rate_per_hour", self.arrival_rate_per_hour)
         if not 0.0 < self.loss_probability <= 1.0:
-            raise ValueError("loss_probability must be in (0, 1]")
+            raise ConfigError(f"loss_probability must be in (0, 1], got {self.loss_probability}")
         rate = self.arrival_rate_per_hour / 3600.0
         self.mtbf_seconds = 1.0 / (rate * self.loss_probability)
 
@@ -155,7 +152,7 @@ class TransientDiskFaults:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.write_failure_probability < 1.0:
-            raise ValueError("write_failure_probability must be in [0, 1)")
+            raise ConfigError("write_failure_probability must be in [0, 1)")
 
     def write_fails(self, rng: np.random.Generator) -> bool:
         if self.write_failure_probability == 0.0:
@@ -178,7 +175,7 @@ class FaultInjector:
     def __init__(self, kill_steps: tuple[int, ...] | list[int]) -> None:
         steps = sorted(set(int(s) for s in kill_steps))
         if any(s < 1 for s in steps):
-            raise ValueError("kill steps must be >= 1 (steps are 1-based)")
+            raise ConfigError("kill steps must be >= 1 (steps are 1-based)")
         self._pending = steps
         self.fired: list[int] = []
 
@@ -195,10 +192,8 @@ class FaultInjector:
         ``step_seconds`` prices one optimizer step; crash times round
         *up* to the step in flight when the failure strikes.
         """
-        if step_seconds <= 0:
-            raise ValueError("step_seconds must be positive")
-        if total_steps < 0:
-            raise ValueError("total_steps must be non-negative")
+        positive("step_seconds", step_seconds)
+        at_least("total_steps", total_steps)
         horizon = total_steps * step_seconds
         steps = [
             min(total_steps, max(1, math.ceil(t / step_seconds)))

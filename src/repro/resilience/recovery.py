@@ -31,7 +31,7 @@ from ..autodiff.data import Dataset
 from ..autodiff.trainer import EpochRecord, FitCursor, Trainer
 from ..edge.simulator import DutyCycleSimulator
 from ..engine.hooks import compose
-from ..errors import FaultError, PlanningError
+from ..errors import FaultError, PlanningError, at_least, positive
 from ..obs import get_metrics, get_tracer
 from .faults import FaultInjector, FaultModel, TransientDiskFaults
 from .snapshot import (
@@ -216,10 +216,10 @@ def run_duty_cycle_with_faults(
     given, every second of compute/snapshot work is additionally
     stretched by the duty-cycle preemption model.
     """
-    if compute_seconds < 0:
-        raise ValueError("compute_seconds must be non-negative")
-    if interval_seconds <= 0 or snapshot_seconds < 0 or restart_seconds < 0:
-        raise ValueError("interval must be positive; costs non-negative")
+    at_least("compute_seconds", compute_seconds)
+    positive("interval_seconds", interval_seconds)
+    at_least("snapshot_seconds", snapshot_seconds)
+    at_least("restart_seconds", restart_seconds)
 
     def busy(seconds: float) -> tuple[float, int]:
         """Wall time (and preemption count) to get ``seconds`` of work."""

@@ -34,15 +34,15 @@ import base64
 import binascii
 import json
 import math
-import os
 import pathlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..atomic import atomic_write_text
 from ..autodiff.trainer import EpochRecord, FitCursor, Trainer
 from ..edge.storage import SD_CARD, StorageProfile
-from ..errors import ConfigError, SnapshotError
+from ..errors import ConfigError, SnapshotError, at_least, positive
 from ..obs import get_metrics, get_tracer
 
 __all__ = [
@@ -356,11 +356,8 @@ def write_snapshot(path: str | pathlib.Path, snap: TrainingSnapshot) -> int:
     Write-then-rename, so a crash mid-write leaves the previous durable
     snapshot intact — the invariant the whole recovery story rests on.
     """
-    path = pathlib.Path(path)
     text = snapshot_to_json(snap)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    atomic_write_text(pathlib.Path(path), text)
     return len(text)
 
 
@@ -390,7 +387,7 @@ def snapshot_nbytes(trainer: Trainer) -> int:
 
 def young_daly_interval(mtbf_seconds: float, snapshot_seconds: float) -> float:
     """The Young/Daly optimal snapshot interval ``τ* = √(2·δ·MTBF)``."""
-    if mtbf_seconds <= 0 or snapshot_seconds <= 0:
+    if not all(0 < x < math.inf for x in (mtbf_seconds, snapshot_seconds)):
         raise ConfigError("MTBF and snapshot cost must be positive")
     return math.sqrt(2.0 * snapshot_seconds * mtbf_seconds)
 
@@ -410,9 +407,7 @@ class FixedIntervalPolicy(SnapshotPolicy):
     """Snapshot every ``interval_steps`` optimizer steps."""
 
     def __init__(self, interval_steps: int) -> None:
-        if interval_steps < 1:
-            raise ValueError("interval_steps must be >= 1")
-        self.interval_steps = int(interval_steps)
+        self.interval_steps = int(at_least("interval_steps", interval_steps, 1))
 
 
 class YoungDalyPolicy(SnapshotPolicy):
@@ -432,11 +427,10 @@ class YoungDalyPolicy(SnapshotPolicy):
         snapshot_seconds: float | None = None,
         storage: StorageProfile = SD_CARD,
     ) -> None:
-        if step_seconds <= 0:
-            raise ValueError("step_seconds must be positive")
+        positive("step_seconds", step_seconds)
         if snapshot_seconds is None:
             if snapshot_bytes is None:
-                raise ValueError("give snapshot_bytes or snapshot_seconds")
+                raise ConfigError("give snapshot_bytes or snapshot_seconds")
             snapshot_seconds = storage.write_seconds(snapshot_bytes)
         self.mtbf_seconds = mtbf_seconds
         self.snapshot_seconds = float(snapshot_seconds)

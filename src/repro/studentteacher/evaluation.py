@@ -13,13 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError, at_least
+
 __all__ = ["confusion_matrix", "per_class_accuracy", "CalibrationBin", "calibration_curve", "expected_calibration_error"]
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> np.ndarray:
     """Counts[i, j] = samples of true class i predicted as class j."""
     if y_true.shape != y_pred.shape:
-        raise ValueError("label arrays must have equal shape")
+        raise ConfigError("label arrays must have equal shape")
     m = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(m, (y_true, y_pred), 1)
     return m
@@ -53,9 +55,8 @@ def calibration_curve(
 ) -> list[CalibrationBin]:
     """Reliability diagram data over equal-width confidence bins."""
     if confidences.shape != correct.shape:
-        raise ValueError("confidences and correct must have equal shape")
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+        raise ConfigError("confidences and correct must have equal shape")
+    at_least("n_bins", n_bins, 1)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     bins: list[CalibrationBin] = []
     for b in range(n_bins):

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError
+
 from .teacher import TeacherModel
 from .tracker import TrackedDetection
 from .world import Episode
@@ -90,9 +92,9 @@ def harvest_labels(
     short tracks (clutter) are dropped.
     """
     if not 0.0 < confidence_threshold <= 1.0:
-        raise ValueError("confidence_threshold must be in (0, 1]")
+        raise ConfigError("confidence_threshold must be in (0, 1]")
     if label_source not in ("track_end", "max_confidence"):
-        raise ValueError(f"unknown label_source {label_source!r}")
+        raise ConfigError(f"unknown label_source {label_source!r}")
     by_track: dict[int, list[TrackedDetection]] = defaultdict(list)
     for a in assignments:
         by_track[a.track_id].append(a)

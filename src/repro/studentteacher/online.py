@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..autodiff import Momentum, softmax_cross_entropy
+from ..errors import ConfigError, at_least
 from .harvest import HarvestedSample
 from .student import StudentConfig, build_student
 from .teacher import TeacherModel
@@ -39,10 +40,11 @@ class OnlineConfig:
     student: StudentConfig = field(default_factory=StudentConfig)
 
     def __post_init__(self) -> None:
-        if self.update_every < 1 or self.steps_per_update < 1:
-            raise ValueError("update cadence values must be >= 1")
-        if self.buffer_max < 1:
-            raise ValueError("buffer_max must be >= 1")
+        for name in ("update_every", "steps_per_update", "batch_size", "buffer_max",
+                     "min_track_length"):
+            at_least(name, getattr(self, name), 1)
+        if not 0.0 < self.confidence_threshold <= 1.0:
+            raise ConfigError("confidence_threshold must be in (0, 1]")
 
 
 @dataclass(frozen=True)

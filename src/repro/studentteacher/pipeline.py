@@ -15,6 +15,7 @@ import numpy as np
 
 from ..autodiff.data import Dataset
 from ..edge.storage import ImageStore
+from ..errors import ConfigError, at_least
 from ..obs import get_metrics, get_tracer
 from .harvest import HarvestResult, harvest_labels
 from .student import StudentConfig, StudentModel, train_student
@@ -40,6 +41,16 @@ class PipelineConfig:
     angle_bins: tuple[float, ...] = (15.0, 30.0, 45.0, 60.0)
     student: StudentConfig = field(default_factory=StudentConfig)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name, lo in (("num_classes", 2), ("feature_dim", 2), ("frames_per_crossing", 2),
+                         ("teacher_train_per_class", 1), ("n_subjects", 1), ("eval_per_class", 1),
+                         ("camera_skew_deg", 0), ("seed", 0)):
+            at_least(name, getattr(self, name), lo)
+        for b in self.angle_bins:
+            at_least("angle_bins", b)
+        if not 0.0 < self.confidence_threshold <= 1.0:
+            raise ConfigError("confidence_threshold must be in (0, 1]")
 
 
 @dataclass(frozen=True)

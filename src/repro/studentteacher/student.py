@@ -25,6 +25,7 @@ from ..autodiff import (
 )
 from ..autodiff.data import Dataset
 from ..checkpointing import revolve_schedule, slots_for_rho
+from ..errors import at_least, positive
 
 __all__ = ["StudentConfig", "StudentModel", "train_student"]
 
@@ -42,6 +43,14 @@ class StudentConfig:
     #: (the schedule uses the minimal slots achieving it).
     rho: float | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("hidden", "depth", "epochs", "batch_size"):
+            at_least(name, getattr(self, name), 1)
+        positive("lr", self.lr)
+        at_least("seed", self.seed)
+        if self.rho is not None:
+            at_least("rho", self.rho, 1.0)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..autodiff.loss import softmax
+from ..errors import ConfigError
 
 __all__ = ["TeacherModel", "_bucketize_accuracy"]
 
@@ -44,7 +45,7 @@ class TeacherModel:
     def fit(cls, x: np.ndarray, y: np.ndarray, temperature: float = 1.0) -> "TeacherModel":
         """Fit class means on (frontal) training data."""
         if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
-            raise ValueError("expected x (N, D) and y (N,)")
+            raise ConfigError("expected x (N, D) and y (N,)")
         classes = int(y.max()) + 1
         protos = np.stack([x[y == c].mean(axis=0) for c in range(classes)])
         return cls(prototypes=protos, temperature=temperature)

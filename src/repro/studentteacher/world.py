@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ConfigError, at_least, positive
+
 __all__ = ["Detection", "Frame", "TrackTruth", "Episode", "ViewpointWorld"]
 
 
@@ -84,10 +86,10 @@ class ViewpointWorld:
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.feature_dim < 2:
-            raise ValueError("feature_dim must be >= 2")
+        at_least("num_classes", self.num_classes, 2)
+        at_least("feature_dim", self.feature_dim, 2)
+        at_least("noise", self.noise)
+        positive("frame_width", self.frame_width)
         # Well-separated prototypes on a sphere.
         protos = self.rng.normal(size=(self.num_classes, self.feature_dim))
         protos /= np.linalg.norm(protos, axis=1, keepdims=True)
@@ -102,8 +104,7 @@ class ViewpointWorld:
         up, which is the continual-learning case for Section III.
         ``magnitude`` is the fraction of prototype norm perturbed.
         """
-        if magnitude < 0:
-            raise ValueError("drift magnitude must be >= 0")
+        at_least("drift magnitude", magnitude)
         noise = self.rng.normal(size=self.prototypes.shape)
         self.prototypes = self.prototypes + magnitude * 4.0 * (
             noise / np.linalg.norm(noise, axis=1, keepdims=True)
@@ -176,7 +177,7 @@ class ViewpointWorld:
         can fire).
         """
         if n_subjects < 1 or frames_per_crossing < 2:
-            raise ValueError("need n_subjects >= 1 and frames_per_crossing >= 2")
+            raise ConfigError("need n_subjects >= 1 and frames_per_crossing >= 2")
         total_t = n_subjects * spacing + frames_per_crossing + 1
         per_frame: dict[int, list[Detection]] = {t: [] for t in range(total_t)}
         tracks: list[TrackTruth] = []

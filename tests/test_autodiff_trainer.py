@@ -184,14 +184,13 @@ class TestGradientAccumulation:
         assert [r.mean_loss for r in accum.history] == pytest.approx(
             [r.mean_loss for r in full.history], rel=1e-9
         )
-        for (la, pa), (lb, pb) in zip(
-            ((l.name, p) for l in a_net.layers for p in l.params),
-            ((l.name, p) for l in b_net.layers for p in l.params),
-        ):
-            assert np.allclose(
-                a_net.layers[0].params["W"], b_net.layers[0].params["W"], rtol=1e-9
-            )
-            break
+        checked = 0
+        for la, lb in zip(a_net.layers, b_net.layers, strict=True):
+            assert la.name == lb.name and la.params.keys() == lb.params.keys()
+            for p in la.params:
+                assert np.allclose(la.params[p], lb.params[p], rtol=1e-9), (la.name, p)
+                checked += 1
+        assert checked == sum(len(layer.params) for layer in a_net.layers) > 1
 
     def test_micro_batches_cut_peak_memory(self, rng, data):
         net = make_net(rng, depth=8, width=64)

@@ -18,6 +18,7 @@ from repro.checkpointing import (
     rho_for_budget,
     rho_for_slots,
     slots_for_rho,
+    slots_for_rhos,
 )
 from repro.edge.storage import EMMC, LOSSLESS, SD_CARD
 from repro.errors import MemoryBudgetError, PlanningError
@@ -51,6 +52,13 @@ class TestRhoSlots:
     def test_rho_below_one_rejected(self):
         with pytest.raises(PlanningError):
             slots_for_rho(10, 0.99)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rho_rejected(self, rho):
+        with pytest.raises(PlanningError, match="recompute factor must be finite"):
+            slots_for_rho(13, rho)
+        with pytest.raises(PlanningError, match="recompute factor must be finite"):
+            slots_for_rhos(13, [1.5, rho])
 
     def test_bad_bwd_ratio(self):
         with pytest.raises(PlanningError):

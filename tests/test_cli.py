@@ -199,6 +199,17 @@ class TestExtensionCommands:
                 ("campaign", "--crossings", "inf"),
                 "crossings_per_day must be finite and >= 0, got inf",
             ),
+            (
+                ("resilience", "--work-hours", "-1"),
+                "work_seconds must be finite and >= 0, got -3600.0",
+            ),
+            (
+                ("resilience", "--restart-s", "-1"),
+                "restart_seconds must be finite and >= 0, got -1.0",
+            ),
+            (("resilience", "--snapshot-mb", "-1"), "byte count must be non-negative"),
+            (("campaign", "--target", "2"), "target_accuracy must be in [0, 1], got 2.0"),
+            (("viewpoint", "--epochs", "0"), "epochs must be finite and >= 1, got 0"),
         ),
         ids=(
             "fleet-nodes0", "fleet-crash-nan", "energy-gflops-nan",
@@ -206,7 +217,8 @@ class TestExtensionCommands:
             "profile-top-negative", "viewpoint-subjects0", "batch-tradeoff-images0",
             "campaign-crossings-negative", "energy-gflops-negative",
             "energy-image-kb-negative", "resilience-mtbf-negative", "resilience-trials0",
-            "campaign-crossings-inf",
+            "campaign-crossings-inf", "resilience-work-negative", "resilience-restart-negative",
+            "resilience-snapshot-negative", "campaign-target-above-1", "viewpoint-epochs0",
         ),
     )
     def test_bad_input_exits_2_without_traceback(self, capsys, argv, message):

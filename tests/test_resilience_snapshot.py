@@ -143,6 +143,26 @@ class TestSnapshotRoundTrip:
         back = read_snapshot(path)
         assert back.cursor == snap.cursor
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, data, monkeypatch):
+        """A write that raises keeps the previous snapshot and leaves no
+        ``.tmp`` next to it."""
+        import os
+
+        t = make_trainer()
+        t.fit(data)
+        path = tmp_path / "snap.json"
+        write_snapshot(path, capture_snapshot(t, FitCursor(epoch=3, step=t._step)))
+        before = path.read_text()
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_snapshot(path, capture_snapshot(t, FitCursor(epoch=4, step=t._step)))
+        assert not list(tmp_path.glob("*.tmp"))
+        assert path.read_text() == before
+
     def test_missing_file_typed_error(self, tmp_path):
         with pytest.raises(SnapshotError, match="cannot read"):
             read_snapshot(tmp_path / "nope.json")
