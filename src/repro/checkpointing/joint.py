@@ -84,16 +84,18 @@ Compression — the third action
 Giving an objective a :class:`~repro.edge.storage.CompressionModel`
 doubles its split alphabet: every paged tier gains a *compressed*
 variant (BitTrain/POET's framing — per split the planner now chooses
-recompute vs page vs page-compressed).  A compressed write moves
-``codec.compressed_bytes(size)`` through the storage profile and pays
-the codec's encode seconds; a compressed read mirrors it.  Plain tiers
-are tried first, so under the identity codec (ratio 1, zero cost) every
-tie breaks to the uncompressed variant and the plan collapses exactly
-to the codec-less one.  :func:`joint_schedule` emits compressed splits
-through the compressed slot band
-(:func:`~repro.checkpointing.actions.compressed_slot`), so a
-:class:`~repro.engine.compressed.CompressedBackend` with the same
-profile and codec reproduces the planned cost exactly.
+recompute vs page vs page-compressed).  A DP tier code is the first
+slot id of its band — ``DISK_SLOT_BASE``, or
+``compressed_slot(DISK_SLOT_BASE)`` for the compressed variant — and
+split ``i`` under code ``t`` lives in slot ``t + i``, so
+:func:`joint_schedule` emits the codes as they are.  Plain tiers are
+tried first, so under the identity codec (ratio 1, zero cost) every tie
+breaks to the uncompressed variant and the plan collapses exactly to
+the codec-less one.  :class:`TimeObjective` and :class:`EnergyObjective`
+price a transfer with :func:`~repro.edge.storage.paged_transfer`, the
+call a :class:`~repro.engine.tiered.TieredBackend` (or
+:class:`~repro.engine.compressed.CompressedBackend`) with the same
+profile and codec charges, so the planned cost is reproduced exactly.
 """
 
 from __future__ import annotations
@@ -104,16 +106,14 @@ from typing import TYPE_CHECKING
 from ..errors import PlanningError, ScheduleError, at_least, positive
 from .actions import (
     DISK_SLOT_BASE,
-    TIER_DISK,
-    TIER_RAM,
     Action,
     advance,
     compressed_slot,
     free,
+    is_compressed_slot,
     restore,
     snapshot,
-    tier_name,
-    tier_slot,
+    tier_of_slot,
 )
 from .chainspec import ChainSpec
 from .dynprog import SlotSegmentDP
@@ -138,32 +138,6 @@ __all__ = [
 ]
 
 _TOL = 1e-12
-
-#: Bit flagging a DP tier code as "store compressed on that tier".  The
-#: codes are planner-internal — :func:`joint_schedule` lowers them to
-#: the shared slot alphabet's compressed band on emission.
-_ZIP_FLAG = 1 << 8
-
-
-def _zip_tier(tier: int) -> int:
-    """DP code for the compressed variant of a storage tier."""
-    return tier | _ZIP_FLAG
-
-
-def _tier_store(code: int) -> int:
-    """Storage tier of a DP tier code (compression bit stripped)."""
-    return code & ~_ZIP_FLAG
-
-
-def _tier_zipped(code: int) -> bool:
-    """Whether a DP tier code carries the compression bit."""
-    return bool(code & _ZIP_FLAG)
-
-
-def _default_disk() -> "StorageProfile":
-    from ..edge.storage import SD_CARD
-
-    return SD_CARD
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +174,11 @@ class JointObjective:
         raise NotImplementedError
 
     def write_cost(self, tier: int, index: int) -> float:
-        """Cost of writing ``x_index`` to ``tier``."""
+        """Cost of writing ``x_index`` under paged tier code ``tier``."""
         raise NotImplementedError
 
     def read_cost(self, tier: int, index: int) -> float:
-        """Cost of reading ``x_index`` back from ``tier``."""
+        """Cost of reading ``x_index`` back from paged tier code ``tier``."""
         raise NotImplementedError
 
     # -- shared -----------------------------------------------------------
@@ -212,14 +186,13 @@ class JointObjective:
     def paged_tiers(self) -> tuple[int, ...]:
         """Tier codes the planner may page to (RAM is always implicit).
 
-        Plain tiers come first so that, on exact ties, the DP's
-        strict-improvement rule keeps the uncompressed variant — the
-        lossless-collapse guarantee.
+        Each code is the first slot id of its band.  Plain tiers come
+        first so that, on exact ties, the DP's strict-improvement rule
+        keeps the uncompressed variant — the lossless-collapse guarantee.
         """
-        base = (TIER_DISK,)
         if self.codec is None:
-            return base
-        return base + tuple(_zip_tier(t) for t in base)
+            return (DISK_SLOT_BASE,)
+        return (DISK_SLOT_BASE, compressed_slot(DISK_SLOT_BASE))
 
     def advance_cost(self, i: int, j: int) -> float:
         """Objective cost of advancing the cursor from ``x_i`` to ``x_j``."""
@@ -253,36 +226,76 @@ class UnitCostObjective(JointObjective):
         self._write = write_cost
         self._read = read_cost
         self.codec = codec
-        self.label = f"unit(w={write_cost:g},r={read_cost:g})"
-        if codec is not None:
-            self.label = f"unit(w={write_cost:g},r={read_cost:g},zip={codec.name})"
+        zipped = f",zip={codec.name}" if codec is not None else ""
+        self.label = f"unit(w={write_cost:g},r={read_cost:g}{zipped})"
         super().__init__(spec)
 
     def step_cost(self, k: int) -> float:
         return self.spec.fwd_cost[k - 1]
 
+    # Abstract units are byte-proportional: a compressed page moves
+    # ``ratio`` of the bytes, codec CPU is free in this currency.
     def write_cost(self, tier: int, index: int) -> float:
-        # Abstract units are byte-proportional: a compressed page moves
-        # ``ratio`` of the bytes, codec CPU is free in this currency.
-        if _tier_zipped(tier):
-            return self._write * self.codec.ratio
-        return 0.0 if tier == TIER_RAM else self._write
+        return self._write * (self.codec.ratio if is_compressed_slot(tier) else 1.0)
 
     def read_cost(self, tier: int, index: int) -> float:
-        if _tier_zipped(tier):
-            return self._read * self.codec.ratio
-        return 0.0 if tier == TIER_RAM else self._read
+        return self._read * (self.codec.ratio if is_compressed_slot(tier) else 1.0)
 
 
-class TimeObjective(JointObjective):
+class _TransferObjective(JointObjective):
+    """Shared pricing of :class:`TimeObjective` and :class:`EnergyObjective`.
+
+    A step costs ``fwd_cost × step_scale``; a paged transfer costs
+    ``io_w × (storage_seconds + codec_seconds)`` as
+    :func:`~repro.edge.storage.paged_transfer` prices it — through the
+    codec only for compressed-band codes.
+    """
+
+    def __init__(
+        self,
+        spec: ChainSpec,
+        kind: str,
+        disk: "StorageProfile | None",
+        step_scale: float,
+        io_w: float,
+        codec: "CompressionModel | None",
+    ) -> None:
+        from ..edge.storage import SD_CARD
+
+        self.disk = disk if disk is not None else SD_CARD
+        self._step_scale = step_scale
+        self.io_w = io_w
+        self.codec = codec
+        zipped = f"+{codec.name}" if codec is not None else ""
+        self.label = f"{kind}({self.disk.name}{zipped})"
+        super().__init__(spec)
+
+    def step_cost(self, k: int) -> float:
+        return self.spec.fwd_cost[k - 1] * self._step_scale
+
+    def _transfer(self, tier: int, index: int, write: bool) -> float:
+        # Imported here: repro.edge imports the planner.
+        from ..edge.storage import paged_transfer
+
+        codec = self.codec if is_compressed_slot(tier) else None
+        _, storage_s, codec_s = paged_transfer(
+            self.spec.act_bytes[index], self.disk, codec, write=write
+        )
+        return self.io_w * (storage_s + codec_s)
+
+    def write_cost(self, tier: int, index: int) -> float:
+        return self._transfer(tier, index, True)
+
+    def read_cost(self, tier: int, index: int) -> float:
+        return self._transfer(tier, index, False)
+
+
+class TimeObjective(_TransferObjective):
     """Wall-clock pricing: steps in seconds, I/O through a storage profile.
 
     ``unit_seconds`` converts ``spec.fwd_cost`` units (e.g. FLOPs) to
-    seconds; paged transfers are priced by the profile's
-    ``write_seconds`` / ``read_seconds`` of the activation's true byte
-    size — the same accounting :class:`~repro.engine.tiered.TieredBackend`
-    charges when the schedule actually executes, so planned and measured
-    wall time agree exactly.
+    seconds; paged transfers cost their storage (and codec) seconds —
+    ``io_w`` is 1.
     """
 
     def __init__(
@@ -292,53 +305,20 @@ class TimeObjective(JointObjective):
         unit_seconds: float = 1.0,
         codec: "CompressionModel | None" = None,
     ) -> None:
-        positive("unit_seconds", unit_seconds, error=PlanningError)
-        self.disk = disk if disk is not None else _default_disk()
-        self.unit_seconds = unit_seconds
-        self.codec = codec
-        self.label = f"time({self.disk.name})"
-        if codec is not None:
-            self.label = f"time({self.disk.name}+{codec.name})"
-        super().__init__(spec)
-
-    def step_cost(self, k: int) -> float:
-        return self.spec.fwd_cost[k - 1] * self.unit_seconds
-
-    def write_cost(self, tier: int, index: int) -> float:
-        raw = self.spec.act_bytes[index]
-        if _tier_zipped(tier):
-            # Same accounting CompressedBackend charges when executing:
-            # the shrunk payload through the storage path plus the codec.
-            return (
-                self.disk.write_seconds(self.codec.compressed_bytes(raw))
-                + self.codec.compress_seconds(raw)
-            )
-        if tier == TIER_RAM:
-            return 0.0
-        return self.disk.write_seconds(raw)
-
-    def read_cost(self, tier: int, index: int) -> float:
-        raw = self.spec.act_bytes[index]
-        if _tier_zipped(tier):
-            return (
-                self.disk.read_seconds(self.codec.compressed_bytes(raw))
-                + self.codec.decompress_seconds(raw)
-            )
-        if tier == TIER_RAM:
-            return 0.0
-        return self.disk.read_seconds(raw)
+        self.unit_seconds = positive("unit_seconds", unit_seconds, error=PlanningError)
+        super().__init__(spec, "time", disk, unit_seconds, 1.0, codec)
 
 
-class EnergyObjective(JointObjective):
+class EnergyObjective(_TransferObjective):
     """Energy pricing: compute joules per step, rail power during I/O.
 
     A forward unit costs ``compute_j_per_unit`` joules (default: the
     :class:`~repro.edge.power.EnergyModel` per-FLOP coefficient, for
     chains whose ``fwd_cost`` is in FLOPs).  A paged transfer holds the
-    node awake for the profile's transfer seconds at ``io_w`` watts —
+    node awake for its storage and codec seconds at ``io_w`` watts —
     the duty-cycle framing: storage I/O draws far less than a busy core,
-    but the rail cannot gate off while a checkpoint is in flight
-    (default: the energy model's idle draw).
+    but the rail cannot gate off while a checkpoint is in flight, and
+    the codec runs on-node (default: the energy model's idle draw).
     """
 
     def __init__(
@@ -358,44 +338,8 @@ class EnergyObjective(JointObjective):
             io_w = model.idle_w
         at_least("compute_j_per_unit", compute_j_per_unit, error=PlanningError)
         at_least("io_w", io_w, error=PlanningError)
-        self.disk = disk if disk is not None else _default_disk()
         self.compute_j_per_unit = compute_j_per_unit
-        self.io_w = io_w
-        self.codec = codec
-        self.label = f"energy({self.disk.name})"
-        if codec is not None:
-            self.label = f"energy({self.disk.name}+{codec.name})"
-        super().__init__(spec)
-
-    def step_cost(self, k: int) -> float:
-        return self.spec.fwd_cost[k - 1] * self.compute_j_per_unit
-
-    def write_cost(self, tier: int, index: int) -> float:
-        raw = self.spec.act_bytes[index]
-        if _tier_zipped(tier):
-            # The rail stays awake through the storage transfer *and*
-            # the codec pass (the codec runs on-node, same duty-cycle
-            # framing as the I/O itself).
-            seconds = (
-                self.disk.write_seconds(self.codec.compressed_bytes(raw))
-                + self.codec.compress_seconds(raw)
-            )
-            return self.io_w * seconds
-        if tier == TIER_RAM:
-            return 0.0
-        return self.io_w * self.disk.write_seconds(raw)
-
-    def read_cost(self, tier: int, index: int) -> float:
-        raw = self.spec.act_bytes[index]
-        if _tier_zipped(tier):
-            seconds = (
-                self.disk.read_seconds(self.codec.compressed_bytes(raw))
-                + self.codec.decompress_seconds(raw)
-            )
-            return self.io_w * seconds
-        if tier == TIER_RAM:
-            return 0.0
-        return self.io_w * self.disk.read_seconds(raw)
+        super().__init__(spec, "energy", disk, compute_j_per_unit, io_w, codec)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +354,9 @@ class JointPlan:
     ``splits`` lists ``(position, tier code)`` pairs in ascending
     position order — including ``(0, t)`` for the chain input when the
     plan pages at all; an empty tuple means pure in-RAM Revolve.  A tier
-    code is the storage tier, optionally flagged compressed (codec-armed
-    objectives only).  ``cost`` is in the objective's units and is
+    code is the first slot id of the band the split is stored in:
+    ``DISK_SLOT_BASE``, or its compressed-band twin for codec-armed
+    objectives.  ``cost`` is in the objective's units and is
     exactly what executing the emitted schedule on a matching
     :class:`~repro.engine.tiered.TieredBackend` (or
     :class:`~repro.engine.compressed.CompressedBackend`) measures (pure
@@ -430,13 +375,13 @@ class JointPlan:
 
     @property
     def tiers_used(self) -> tuple[int, ...]:
-        """Storage tiers paged to (compression bit stripped)."""
-        return tuple(sorted({_tier_store(t) for _, t in self.splits}))
+        """Storage tiers paged to (compressed or not)."""
+        return tuple(sorted({tier_of_slot(t) for _, t in self.splits}))
 
     @property
     def compressed_splits(self) -> int:
         """How many splits are stored through the codec."""
-        return sum(1 for _, t in self.splits if _tier_zipped(t))
+        return sum(1 for _, t in self.splits if is_compressed_slot(t))
 
 
 class _InnerRevolve:
@@ -573,10 +518,10 @@ def joint_schedule(
 ) -> Schedule:
     """Executable schedule achieving :func:`joint_cost`.
 
-    Paged checkpoints use the shared tier-aware slot alphabet
-    (:func:`~repro.checkpointing.actions.tier_slot` — split ``i`` on
-    tier ``t`` lives in slot ``t·stride + i``, compressed splits in the
-    compressed band on top); RAM slots stay ``0 .. c-1`` with slot 0
+    Paged checkpoints use the shared tier-aware slot alphabet — split
+    ``i`` stored under tier code ``t`` (the first slot of its band, see
+    :class:`JointPlan`) lives in slot ``t + i``, so compressed splits
+    land in the compressed band; RAM slots stay ``0 .. c-1`` with slot 0
     parking the active segment's base, exactly the disk-revolve layout.
     Executing it on a :class:`~repro.engine.tiered.TieredBackend` (or,
     for codec-armed objectives, a
@@ -615,15 +560,7 @@ def joint_schedule(
 
     positions = [p for p, _ in splits]
     seg_ends = positions[1:] + [l]
-    # Lower DP tier codes to the shared slot alphabet: split i on tier t
-    # lives in slot t·stride + i, pushed into the compressed band when
-    # the planner chose the codec variant.
-    paged_slots = [
-        compressed_slot(tier_slot(_tier_store(t), i))
-        if _tier_zipped(t)
-        else tier_slot(_tier_store(t), i)
-        for i, (_, t) in enumerate(splits)
-    ]
+    paged_slots = [t + i for i, (_, t) in enumerate(splits)]
 
     # Forward phase: page x_0 and every split point out.
     actions.append(snapshot(paged_slots[0]))

@@ -45,6 +45,7 @@ import sys
 
 from . import lab, obs
 from .checkpointing import available_strategies, get_strategy, schedule_cache_info
+from .edge.storage import storage_profiles
 from .errors import ReproError
 from .experiments import run_megafleet_payload  # importing registers every lab spec
 
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--storage",
-        choices=("sd-card", "emmc"),
+        choices=tuple(storage_profiles()),
         default="sd-card",
         help="disk-tier storage profile (tiered backend)",
     )
@@ -401,6 +402,7 @@ def _exec(args: argparse.Namespace) -> str:
     """Run one strategy's schedule through a chosen engine backend."""
     from .checkpointing import ChainSpec
     from .engine import (
+        CompressedBackend,
         SimBackend,
         TieredBackend,
         action_span_hook,
@@ -496,21 +498,15 @@ def _exec(args: argparse.Namespace) -> str:
 
     spec = ChainSpec.homogeneous(l, act_bytes=int(args.act_kb * KB))
     tracer = obs.get_tracer()
-    if codec is not None:
-        from .edge.storage import EMMC, SD_CARD
-        from .engine import CompressedBackend
-
-        storage = {"sd-card": SD_CARD, "emmc": EMMC}[args.storage]
-        backend = CompressedBackend(spec, codec, disk=storage)
-        hook = action_span_hook(tracer) if tracer.enabled else None
-    elif args.backend == "sim":
+    if codec is None and args.backend == "sim":
         backend = SimBackend(spec)
         hook = sim_event_hook(tracer) if tracer.enabled else None
     else:
-        from .edge.storage import EMMC, SD_CARD
-
-        storage = {"sd-card": SD_CARD, "emmc": EMMC}[args.storage]
-        backend = TieredBackend(spec, disk=storage)
+        disk = storage_profiles()[args.storage]
+        if codec is None:
+            backend = TieredBackend(spec, disk=disk)
+        else:
+            backend = CompressedBackend(spec, codec, disk=disk)
         hook = action_span_hook(tracer) if tracer.enabled else None
     run = execute(sch, backend, on_step=hook)
     lines = [

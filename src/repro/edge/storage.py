@@ -14,11 +14,13 @@ size into the Young/Daly snapshot cost δ.
 
 :class:`CompressionModel` prices the *codec path* in the same currency:
 a size ratio, compress/decompress bandwidths and a declared gradient
-fidelity loss.  It is how the compression-aware planner
-(:mod:`repro.checkpointing.joint`) and the compressed execution backend
-(:mod:`repro.engine.compressed`) trade smaller checkpoints against
-codec seconds — BitTrain's sparse-bitmap encoding and a low-precision
+fidelity loss — BitTrain's sparse-bitmap encoding and a low-precision
 cast are shipped as presets.
+
+:func:`paged_transfer` prices one checkpoint transfer through both.  The
+joint planner (:mod:`repro.checkpointing.joint`) and the tiered
+execution backend (:mod:`repro.engine.tiered`) both call it and nothing
+else, so planned and measured transfer costs are the same floats.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ __all__ = [
     "BITTRAIN_SPARSE",
     "FP16_CAST",
     "compression_models",
+    "storage_profiles",
+    "paged_transfer",
 ]
 
 #: The paper's per-image size estimate at 224x224.
@@ -126,6 +130,11 @@ class StorageProfile:
 SD_CARD = StorageProfile()
 #: On-board eMMC (e.g. the ODROID XU4 option): ~4x the write bandwidth.
 EMMC = StorageProfile(name="emmc", write_bytes_per_s=40.0 * MB, write_latency_s=0.002)
+
+
+def storage_profiles() -> dict[str, StorageProfile]:
+    """The named storage presets, keyed as the CLI spells them."""
+    return {"sd-card": SD_CARD, "emmc": EMMC}
 
 
 @dataclass(frozen=True)
@@ -233,3 +242,24 @@ def compression_models() -> dict[str, CompressionModel]:
         "bittrain": BITTRAIN_SPARSE,
         "fp16": FP16_CAST,
     }
+
+
+def paged_transfer(
+    raw: int, storage: StorageProfile | None, codec: CompressionModel | None, *, write: bool
+) -> tuple[int, float, float]:
+    """``(stored_bytes, storage_seconds, codec_seconds)`` of writing
+    (``write=True``) or reading back one ``raw``-byte activation.
+
+    ``codec=None`` stores it raw; ``storage=None`` moves it for free
+    (pure counting).
+    """
+    if codec is None:
+        stored, codec_s = raw, 0.0
+    else:
+        stored = codec.compressed_bytes(raw)
+        codec_s = codec.compress_seconds(raw) if write else codec.decompress_seconds(raw)
+    if storage is None:
+        storage_s = 0.0
+    else:
+        storage_s = storage.write_seconds(stored) if write else storage.read_seconds(stored)
+    return stored, storage_s, codec_s

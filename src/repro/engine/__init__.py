@@ -8,11 +8,10 @@ and the tiered-storage model — through a pluggable
 * :class:`SimBackend` — ChainSpec cost accounting (no tensors);
 * :class:`TensorBackend` — real ``SequentialNet`` forwards/adjoints with
   a live-byte meter;
-* :class:`TieredBackend` — RAM + disk slot tiers priced by
-  :class:`~repro.edge.storage.StorageProfile` read/write paths;
-* :class:`CompressedBackend` — TieredBackend plus a
-  :class:`~repro.edge.storage.CompressionModel` pricing compressed-band
-  slots (smaller stored bytes, codec seconds per transfer).
+* :class:`TieredBackend` — RAM + disk slot tiers, each transfer priced
+  by :func:`~repro.edge.storage.paged_transfer` (as the joint planner is);
+* :class:`CompressedBackend` — a TieredBackend whose constructor sets a
+  :class:`~repro.edge.storage.CompressionModel` for compressed-band slots.
 
 Every schedule is compiled once (:func:`compile_schedule`, the only
 validator) and the VM dispatches the resulting program, emitting unified

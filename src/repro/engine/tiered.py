@@ -12,19 +12,27 @@ I/O counts a unit-cost plan prices).
 This is what lets a ``disk_revolve`` schedule *execute* — not just be
 planned — with measured SD-card/eMMC transfer time in the resulting
 :class:`~repro.engine.stats.RunStats`.
+
+When :attr:`TieredBackend.codec` is set (by
+:class:`~repro.engine.compressed.CompressedBackend`), compressed-band
+slots are stored through it and a codec ledger is kept.  Every transfer
+is priced by one :func:`~repro.edge.storage.paged_transfer` call, the
+same call the joint planner's objectives price it with.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
-from ..checkpointing.actions import TIER_RAM, tier_of_slot
+from ..checkpointing.actions import TIER_RAM, is_compressed_slot, tier_of_slot
 from ..checkpointing.chainspec import ChainSpec
+from ..edge.storage import paged_transfer
 from .sim import SimBackend
-from .stats import TierStats
+from .stats import CompressionStats, TierStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..edge.storage import StorageProfile
+    from ..edge.storage import CompressionModel, StorageProfile
 
 __all__ = ["TieredBackend"]
 
@@ -36,7 +44,7 @@ class _TierLedger:
         self.name = name
         self.profile = profile
         #: slot id -> bytes the tier actually holds for it (compressed
-        #: backends store fewer bytes than the activation's raw size)
+        #: slots hold fewer bytes than the activation's raw size)
         self.slots: dict[int, int] = {}
         self.writes = 0
         self.reads = 0
@@ -55,21 +63,14 @@ class _TierLedger:
             self.peak_bytes = held
 
     def stats(self) -> TierStats:
-        return TierStats(
-            name=self.name,
-            writes=self.writes,
-            reads=self.reads,
-            write_seconds=self.write_seconds,
-            read_seconds=self.read_seconds,
-            peak_slots=self.peak_slots,
-            peak_bytes=self.peak_bytes,
-            bytes_written=self.bytes_written,
-            bytes_read=self.bytes_read,
-        )
+        return TierStats(**{f.name: getattr(self, f.name) for f in fields(TierStats)})
 
 
 class TieredBackend(SimBackend):
     """SimBackend plus a RAM/disk split with priced transfers."""
+
+    #: codec for compressed-band slots; ``None`` stores every slot raw
+    codec: "CompressionModel | None" = None
 
     def __init__(
         self,
@@ -81,57 +82,80 @@ class TieredBackend(SimBackend):
         super().__init__(spec)
         self._memory_profile = memory
         self._disk_profile = disk
-        self._mem = _TierLedger("memory", memory)
-        self._disk = _TierLedger("disk", disk)
+        self._reset()
 
     def begin(self) -> None:
+        self._reset()  # before SimBackend's initial charge reads slot_bytes
         super().begin()
+
+    def _reset(self) -> None:
         self._mem = _TierLedger("memory", self._memory_profile)
         self._disk = _TierLedger("disk", self._disk_profile)
+        #: the CompressionStats counters, by field name
+        self._zip = dict(
+            compress_calls=0, decompress_calls=0,
+            compress_seconds=0.0, decompress_seconds=0.0, bytes_saved=0,
+        )
 
     def _tier(self, slot: int) -> _TierLedger:
         return self._mem if tier_of_slot(slot) == TIER_RAM else self._disk
 
-    def _stored_bytes(self, slot: int, index: int) -> int:
-        """Bytes slot ``slot`` holds for activation ``index``.
+    def _codec(self, slot: int) -> "CompressionModel | None":
+        codec = self.codec
+        return codec if codec is not None and is_compressed_slot(slot) else None
 
-        The raw activation size here; :class:`CompressedBackend` shrinks
-        it for compressed-band slots.
-        """
-        return self.spec.act_bytes[index]
+    @property
+    def slot_bytes(self) -> int:
+        return sum(self._mem.slots.values()) + sum(self._disk.slots.values())
 
     def snapshot(self, slot: int, index: int) -> float:
-        super().snapshot(slot, index)
         tier = self._tier(slot)
-        stored = self._stored_bytes(slot, index)
-        tier.slots[slot] = stored
+        codec = self._codec(slot)
+        raw = self.spec.act_bytes[index]
+        stored, storage_s, codec_s = paged_transfer(raw, tier.profile, codec, write=True)
+        tier.slots[slot] = stored  # before SimBackend charges its peak from slot_bytes
+        super().snapshot(slot, index)
         tier.writes += 1
         tier.bytes_written += stored
-        cost = 0.0
-        if tier.profile is not None:
-            cost = tier.profile.write_seconds(stored)
-            tier.write_seconds += cost
+        tier.write_seconds += storage_s
         tier.charge()
-        return cost
+        if codec is not None:
+            z = self._zip
+            z["compress_calls"] += 1
+            z["compress_seconds"] += codec_s
+            z["bytes_saved"] += raw - stored
+        return storage_s + codec_s
 
     def restore(self, slot: int, index: int) -> float:
         super().restore(slot, index)
         tier = self._tier(slot)
-        stored = self._stored_bytes(slot, index)
+        codec = self._codec(slot)
+        stored, storage_s, codec_s = paged_transfer(
+            self.spec.act_bytes[index], tier.profile, codec, write=False
+        )
         tier.reads += 1
         tier.bytes_read += stored
-        cost = 0.0
-        if tier.profile is not None:
-            cost = tier.profile.read_seconds(stored)
-            tier.read_seconds += cost
-        return cost
+        tier.read_seconds += storage_s
+        if codec is not None:
+            self._zip["decompress_calls"] += 1
+            self._zip["decompress_seconds"] += codec_s
+        return storage_s + codec_s
 
     def free(self, slot: int, index: int) -> float:
-        super().free(slot, index)
         tier = self._tier(slot)
         del tier.slots[slot]
+        super().free(slot, index)
         tier.charge()
         return 0.0
 
     def tier_stats(self) -> tuple[TierStats, ...]:
         return (self._mem.stats(), self._disk.stats())
+
+    def compression_stats(self) -> CompressionStats | None:
+        codec = self.codec
+        if codec is None:
+            return None
+        fidelity = codec.fidelity_loss if self._zip["compress_calls"] else 0.0
+        return CompressionStats(
+            codec=codec.name, ratio=codec.ratio, fidelity_loss=fidelity, **self._zip
+        )

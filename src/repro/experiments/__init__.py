@@ -18,7 +18,6 @@ from .tables import (
 )
 from .section5 import Section5Row, section5_sweep, section5_table
 from .figure1 import (
-    JOINT_STORAGE,
     PANELS,
     Figure1Series,
     default_rhos,
@@ -68,7 +67,6 @@ __all__ = [
     "figure1_panel",
     "figure1_ascii",
     "figure1_joint_panel",
-    "JOINT_STORAGE",
     "strategy_ablation",
     "strategy_ablation_table",
     "BatchPoint",

@@ -10,10 +10,13 @@ prints.  None declares a default unit, so ``repro all`` never runs them;
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
 from typing import Callable
 
 from ..edge import DEVICE_CATALOG, ODROID_XU4, TrainingWorkload
+from ..edge.storage import storage_profiles
+from ..errors import ConfigError
 from ..lab import Param, experiment
 from ..units import GB, MB
 from ..zoo import RESNET_DEPTHS, build_resnet
@@ -263,7 +266,7 @@ def _resilience_ascii(doc: dict) -> str:
         Param("mtbf_hours", float, default=12.0, help="mean time between failures"),
         Param("work_hours", float, default=24.0, help="fault-free compute to finish"),
         Param("snapshot_mb", float, default=50.0, help="durable snapshot payload size"),
-        Param("storage", str, default="sd-card", choices=("sd-card", "emmc")),
+        Param("storage", str, default="sd-card", choices=tuple(storage_profiles())),
         Param("restart_s", float, default=60.0, help="reboot cost per crash"),
         Param("trials", int, default=40, help="Monte-Carlo trials per interval"),
         Param("seed", int, default=0),
@@ -271,10 +274,9 @@ def _resilience_ascii(doc: dict) -> str:
     _resilience_ascii,
 )
 def _resilience(params, inputs):
-    from ..edge.storage import EMMC, SD_CARD
     from ..resilience import overhead_vs_fault_rate, sweep_intervals, young_daly_interval
 
-    storage = {"sd-card": SD_CARD, "emmc": EMMC}[params["storage"]]
+    storage = storage_profiles()[params["storage"]]
     delta = storage.write_seconds(int(params["snapshot_mb"] * MB))
     mtbf = params["mtbf_hours"] * 3600.0
     work = params["work_hours"] * 3600.0
@@ -320,6 +322,9 @@ def _energy(params, inputs):
     from ..edge import EnergyModel, breakeven_epochs, streaming_comparison
 
     model = EnergyModel()
+    if not math.isfinite(params["image_kb"]):
+        # Signs are left to streaming_comparison's pinned message.
+        raise ConfigError(f"image_kb must be finite, got {params['image_kb']}")
     image_bytes = int(params["image_kb"] * 1024)
     flops = params["gflops"] * 1e9
     stream = streaming_comparison(1.0, 20 * image_bytes, flops, model=model)

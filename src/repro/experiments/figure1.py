@@ -24,7 +24,7 @@ from ..checkpointing import (
     slots_for_rhos,
 )
 from ..edge.device import ODROID_XU4
-from ..edge.storage import EMMC, SD_CARD, compression_models
+from ..edge.storage import compression_models, storage_profiles
 from ..errors import ConfigError
 from ..graph import homogenize
 from ..lab import Param, UnitDef, experiment
@@ -40,7 +40,6 @@ __all__ = [
     "figure1_panel",
     "figure1_ascii",
     "default_rhos",
-    "JOINT_STORAGE",
     "JOINT_FAMILIES",
     "COMPRESSED_FAMILIES",
     "figure1_joint_panel",
@@ -221,8 +220,6 @@ def _figure1_spec(params, inputs):
 
 # -- measured frontiers: joint paging and compression ---------------------
 
-#: Storage profiles the measured frontiers run against, by CLI name.
-JOINT_STORAGE = {"sd-card": SD_CARD, "emmc": EMMC}
 #: The strategies every joint-frontier row carries, in order.
 JOINT_FAMILIES = ("revolve", "disk_revolve", "joint_time", "joint_energy")
 #: The strategies every compressed-frontier row carries, in order.
@@ -251,8 +248,9 @@ def _frontier_rows(
     """
     if panel not in PANELS:
         raise KeyError(f"panel must be one of {sorted(PANELS)}, got {panel!r}")
-    if storage not in JOINT_STORAGE:
-        raise KeyError(f"storage must be one of {sorted(JOINT_STORAGE)}, got {storage!r}")
+    profiles = storage_profiles()
+    if storage not in profiles:
+        raise KeyError(f"storage must be one of {sorted(profiles)}, got {storage!r}")
     models = compression_models()
     if codec is not None and codec not in models:
         raise KeyError(f"codec must be one of {sorted(models)}, got {codec!r}")
@@ -260,7 +258,7 @@ def _frontier_rows(
     out = []
     for depth in depths:
         points = measure_frontier(
-            _joint_spec(depth, batch, image), slots, families, JOINT_STORAGE[storage],
+            _joint_spec(depth, batch, image), slots, families, profiles[storage],
             codec=models.get(codec), unit_seconds=1.0 / ODROID_XU4.flops_per_s,
         )
         row = {
@@ -403,7 +401,7 @@ def _figure1_joint_csv(doc: dict) -> str:
     "Joint remat+paging frontier vs pure revolve / disk-revolve",
     params=(
         Param("panel", str, default="b", choices=tuple(sorted(PANELS))),
-        Param("storage", str, default="sd-card", choices=tuple(sorted(JOINT_STORAGE))),
+        Param("storage", str, default="sd-card", choices=tuple(sorted(storage_profiles()))),
         Param("slots", int, default=3),
     ),
     renderers={"ascii": _figure1_joint_ascii, "csv": _figure1_joint_csv, "json": render_json},
@@ -416,7 +414,7 @@ def _figure1_joint_csv(doc: dict) -> str:
             ),
         )
         for p in sorted(PANELS)
-        for s in ("sd-card", "emmc")
+        for s in storage_profiles()
     ),
 )
 def _figure1_joint_spec(params, inputs):
@@ -472,7 +470,7 @@ def _figure1_compressed_csv(doc: dict) -> str:
     "Compression-aware frontier: peak bytes x wall time x gradient fidelity",
     params=(
         Param("panel", str, default="b", choices=tuple(sorted(PANELS))),
-        Param("storage", str, default="sd-card", choices=tuple(sorted(JOINT_STORAGE))),
+        Param("storage", str, default="sd-card", choices=tuple(sorted(storage_profiles()))),
         Param("codec", str, default="bittrain", choices=("bittrain", "fp16", "lossless")),
         Param("slots", int, default=3),
     ),

@@ -187,7 +187,7 @@ def sweep_intervals(
         raise PlanningError("grid_factors must be non-empty")
     tau = young_daly_interval(mtbf_seconds, snapshot_seconds)
     model = faults if faults is not None else PoissonFaults(mtbf_seconds)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(at_least("seed", seed))
     rows = []
     with get_tracer().span(
         "interval_sweep", category="recovery", mtbf=mtbf_seconds, tau_star=tau
@@ -244,7 +244,7 @@ def overhead_vs_fault_rate(
     so the curve isolates the *irreducible* price of unreliability.
     """
     rows = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(at_least("seed", seed))
     for mtbf in mtbfs_seconds:
         tau = young_daly_interval(mtbf, snapshot_seconds)
         predicted = daly_expected_makespan(

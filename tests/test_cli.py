@@ -210,6 +210,11 @@ class TestExtensionCommands:
             (("resilience", "--snapshot-mb", "-1"), "byte count must be non-negative"),
             (("campaign", "--target", "2"), "target_accuracy must be in [0, 1], got 2.0"),
             (("viewpoint", "--epochs", "0"), "epochs must be finite and >= 1, got 0"),
+            (("energy", "--image-kb", "inf"), "image_kb must be finite, got inf"),
+            (
+                ("resilience", "--seed", "-1", "--trials", "1"),
+                "seed must be finite and >= 0, got -1",
+            ),
         ),
         ids=(
             "fleet-nodes0", "fleet-crash-nan", "energy-gflops-nan",
@@ -219,6 +224,7 @@ class TestExtensionCommands:
             "energy-image-kb-negative", "resilience-mtbf-negative", "resilience-trials0",
             "campaign-crossings-inf", "resilience-work-negative", "resilience-restart-negative",
             "resilience-snapshot-negative", "campaign-target-above-1", "viewpoint-epochs0",
+            "energy-image-kb-inf", "resilience-seed-negative",
         ),
     )
     def test_bad_input_exits_2_without_traceback(self, capsys, argv, message):
@@ -577,6 +583,54 @@ class TestExecCommand:
         assert "ops               : 45 (ADVANCE 9, SNAPSHOT 6, RESTORE 15, " \
                "FREE 5, ADJOINT 10)" in out
         assert f"digest            : sha256:{program.digest}" in out
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        (
+            (
+                ("--strategy", "joint_zip", "--backend", "tiered", "--compress", "bittrain",
+                 "--length", "20", "--slots", "2"),
+                'Engine run: strategy=joint_zip(c=2) l=20 slots=2 backend=compressed(bittrain)\n'
+                '  forward steps     : 19 (cost 19)\n'
+                '  adjoint replays   : 20\n'
+                '  peak slots        : 20, peak bytes 2,107,632\n'
+                '  snapshots/restores: 37/38\n'
+                '  transfer time     : 0.620 s\n'
+                '    memory tier: write 19 ops / 4,980,736 B / 0.000 s | '
+                'read 21 ops / 5,505,024 B / 0.000 s | '
+                'peak 2 slots (524,288 B)\n'
+                '    disk   tier: write 18 ops / 1,321,200 B / 0.306 s | '
+                'read 17 ops / 1,247,800 B / 0.289 s | '
+                'peak 18 slots (1,321,200 B) [sd-card]\n'
+                '  compression       : bittrain-sparse (ratio 0.28) — '
+                '18 compress / 17 decompress, 3,397,392 B saved, codec time 0.025 s\n'
+            ),
+            (
+                ("--strategy", "revolve", "--compress", "fp16", "--length", "12",
+                 "--slots", "3"),
+                'Engine run: strategy=revolve l=12 slots=3 backend=compressed(fp16)\n'
+                '  forward steps     : 21 (cost 21)\n'
+                '  adjoint replays   : 12\n'
+                '  peak slots        : 3, peak bytes 655,360\n'
+                '  snapshots/restores: 6/17\n'
+                '  transfer time     : 0.004 s\n'
+                '    memory tier: write 6 ops / 786,432 B / 0.000 s | '
+                'read 17 ops / 2,228,224 B / 0.000 s | '
+                'peak 3 slots (393,216 B)\n'
+                '    disk   tier: write 0 ops / 0 B / 0.000 s | '
+                'read 0 ops / 0 B / 0.000 s | '
+                'peak 0 slots (0 B) [sd-card]\n'
+                '  compression       : fp16-cast (ratio 0.5) — '
+                '6 compress / 17 decompress, 786,432 B saved, codec time 0.004 s\n'
+                '  fidelity loss     : 0.001\n'
+            ),
+        ),
+        ids=("joint-zip-bittrain-tiered", "revolve-fp16"),
+    )
+    def test_compressed_exec_output_pinned(self, capsys, argv, expected):
+        """The codec-priced tiered run, byte for byte: per-tier bytes and
+        seconds plus the codec ledger."""
+        assert run(capsys, "exec", *argv) == expected
 
     def test_compile_with_compress_prints_the_compressed_program(self, capsys):
         from repro.checkpointing import compressed_variant, get_strategy

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.checkpointing import (
     COMPRESS_SLOT_BASE,
     ChainSpec,
+    EnergyObjective,
     TIER_SLOT_STRIDE,
     TimeObjective,
     UnitCostObjective,
@@ -38,6 +39,7 @@ from repro.checkpointing.revolve import revolve_schedule
 from repro.checkpointing.strategies import available_strategies, get_strategy
 from repro.edge.storage import (
     BITTRAIN_SPARSE,
+    EMMC,
     FP16_CAST,
     LOSSLESS,
     SD_CARD,
@@ -276,24 +278,64 @@ class TestLosslessCollapse:
 class TestPlannedEqualsMeasured:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize(
-        "codec", (BITTRAIN_SPARSE, FP16_CAST), ids=lambda c: c.name
+        "codec,objective",
+        (
+            (BITTRAIN_SPARSE, TimeObjective),
+            (FP16_CAST, TimeObjective),
+            (BITTRAIN_SPARSE, EnergyObjective),
+            (FP16_CAST, EnergyObjective),
+        ),
+        ids=("bittrain-sparse", "fp16-cast", "energy-bittrain-sparse", "energy-fp16-cast"),
     )
-    def test_time_objective_with_codec(self, seed, codec):
+    def test_time_objective_with_codec(self, seed, codec, objective):
         """The DP's priced cost for a compressed plan equals executing
-        that plan on a CompressedBackend, codec seconds included."""
+        that plan on a CompressedBackend, codec seconds included — in
+        seconds, and in joules with the rail held at ``io_w`` through
+        every transfer."""
         rng = random.Random(seed)
         l = rng.randint(2, 18)
         spec = _random_spec(l, 1000 + seed)
         c = rng.randint(1, 4)
         unit_s = 1e-9
-        obj = TimeObjective(spec, disk=SD_CARD, unit_seconds=unit_s, codec=codec)
+        obj = objective(spec, SD_CARD, unit_s, codec=codec)
         sched = joint_schedule(spec, c, obj, family="joint_zip")
         assert validate(sched)
         run = execute(sched, CompressedBackend(spec, codec, disk=SD_CARD))
-        measured = (run.forward_cost + run.replay_cost) * unit_s + run.transfer_seconds
+        measured = (
+            (run.forward_cost + run.replay_cost) * unit_s + obj.io_w * run.transfer_seconds
+        )
         planned = joint_cost(spec, c, obj) + run.replay_cost * unit_s
         assert measured == pytest.approx(planned, rel=1e-6)
         assert run.tier("memory").peak_slots <= c
+
+
+class TestOnePrice:
+    """The objectives and the backend price a transfer through one
+    function, so the planned and measured floats are equal, not close."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        l=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**16),
+        disk=st.sampled_from((SD_CARD, EMMC)),
+        codec=st.sampled_from((LOSSLESS, BITTRAIN_SPARSE, FP16_CAST)),
+    )
+    def test_objective_prices_equal_backend_charges(self, l, seed, disk, codec):
+        rng = random.Random(seed)
+        spec = ChainSpec(
+            name=f"p{seed}",
+            act_bytes=tuple(rng.randint(1, 1 << 24) for _ in range(l + 1)),
+            fwd_cost=tuple(rng.uniform(0.1, 3.0) for _ in range(l)),
+            bwd_cost=tuple(rng.uniform(0.1, 3.0) for _ in range(l)),
+        )
+        obj = TimeObjective(spec, disk=disk, codec=codec)
+        backend = CompressedBackend(spec, codec, disk=disk)
+        backend.begin()
+        for band in obj.paged_tiers:
+            for i in range(l + 1):
+                assert obj.write_cost(band, i) == backend.snapshot(band, i)
+                assert obj.read_cost(band, i) == backend.restore(band, i)
+                backend.free(band, i)
 
 
 class TestProgramCompressionIR:
