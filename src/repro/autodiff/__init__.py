@@ -23,7 +23,6 @@ from .loss import accuracy, mse_loss, softmax, softmax_cross_entropy
 from .optim import SGD, Adam, Momentum, Optimizer
 from .network import SequentialNet
 from .executor import CheckpointedResult, run_schedule
-from .rnn import RNNStepLayer, UnrolledRNN
 from .trainer import EpochRecord, FitCursor, Trainer, TrainerConfig
 from .meter import MemoryMeter
 from .data import Dataset, batches, gaussian_blobs, image_blobs, spirals
@@ -61,8 +60,6 @@ __all__ = [
     "TrainerConfig",
     "EpochRecord",
     "FitCursor",
-    "RNNStepLayer",
-    "UnrolledRNN",
     "MemoryMeter",
     "Dataset",
     "gaussian_blobs",

@@ -41,7 +41,6 @@ from .actions import (
 )
 from .chainspec import ChainSpec
 from .schedule import Schedule
-from .realchain import RealChainPlan, plan_real_chain, working_set_bytes
 from .serialize import FORMAT_VERSION, schedule_from_json, schedule_to_json
 from .timeline import TimelinePoint, memory_timeline, timeline_ascii
 from .simulator import simulate, validate
@@ -146,9 +145,6 @@ __all__ = [
     "FORMAT_VERSION",
     "schedule_to_json",
     "schedule_from_json",
-    "RealChainPlan",
-    "plan_real_chain",
-    "working_set_bytes",
     "TimelinePoint",
     "memory_timeline",
     "timeline_ascii",

@@ -46,7 +46,7 @@ import sys
 from . import lab, obs
 from .checkpointing import available_strategies, get_strategy, schedule_cache_info
 from .edge.storage import storage_profiles
-from .errors import ReproError
+from .errors import ReproError, at_least
 from .experiments import run_megafleet_payload  # importing registers every lab spec
 
 __all__ = ["main", "build_parser"]
@@ -411,6 +411,7 @@ def _exec(args: argparse.Namespace) -> str:
     )
     from .units import KB
 
+    act_bytes = int(at_least("act_kb", args.act_kb) * KB)
     strat = get_strategy(args.strategy)
     l, c = args.length, args.slots
     if not strat.feasible(l, c):
@@ -440,7 +441,7 @@ def _exec(args: argparse.Namespace) -> str:
         from .engine import OPCODE_NAMES
 
         program = sch.program
-        spec = ChainSpec.homogeneous(l, act_bytes=int(args.act_kb * KB))
+        spec = ChainSpec.homogeneous(l, act_bytes=act_bytes)
         run = execute(sch, SimBackend(spec))
         counts = ", ".join(
             f"{name} {n}"
@@ -496,7 +497,7 @@ def _exec(args: argparse.Namespace) -> str:
             ]
         )
 
-    spec = ChainSpec.homogeneous(l, act_bytes=int(args.act_kb * KB))
+    spec = ChainSpec.homogeneous(l, act_bytes=act_bytes)
     tracer = obs.get_tracer()
     if codec is None and args.backend == "sim":
         backend = SimBackend(spec)

@@ -28,6 +28,16 @@ def _command(name: str, title: str, params: tuple[Param, ...], ascii_fn: Callabl
     )
 
 
+def _finite_bytes(params, name: str, unit: int) -> int:
+    """``params[name] * unit`` as a byte count; ±inf fails typed before ``int``.
+
+    Signs are left to the callee's pinned message.
+    """
+    if not math.isfinite(params[name]):
+        raise ConfigError(f"{name} must be finite, got {params[name]}")
+    return int(params[name] * unit)
+
+
 @_command(
     "profile",
     "per-layer memory profile of a zoo model",
@@ -277,7 +287,7 @@ def _resilience(params, inputs):
     from ..resilience import overhead_vs_fault_rate, sweep_intervals, young_daly_interval
 
     storage = storage_profiles()[params["storage"]]
-    delta = storage.write_seconds(int(params["snapshot_mb"] * MB))
+    delta = storage.write_seconds(_finite_bytes(params, "snapshot_mb", MB))
     mtbf = params["mtbf_hours"] * 3600.0
     work = params["work_hours"] * 3600.0
     restart, trials, seed = params["restart_s"], params["trials"], params["seed"]
@@ -322,10 +332,7 @@ def _energy(params, inputs):
     from ..edge import EnergyModel, breakeven_epochs, streaming_comparison
 
     model = EnergyModel()
-    if not math.isfinite(params["image_kb"]):
-        # Signs are left to streaming_comparison's pinned message.
-        raise ConfigError(f"image_kb must be finite, got {params['image_kb']}")
-    image_bytes = int(params["image_kb"] * 1024)
+    image_bytes = _finite_bytes(params, "image_kb", 1024)
     flops = params["gflops"] * 1e9
     stream = streaming_comparison(1.0, 20 * image_bytes, flops, model=model)
     return {

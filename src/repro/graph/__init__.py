@@ -34,8 +34,6 @@ from .chain import (
     homogenize,
     linearize,
 )
-from .export import to_dot, to_records
-from .ordering import greedy_min_peak_order, optimal_order, peak_memory_of_order
 from .flops import FlopReport, estimate_step_seconds, flop_report
 
 __all__ = [
@@ -71,9 +69,4 @@ __all__ = [
     "FlopReport",
     "flop_report",
     "estimate_step_seconds",
-    "to_dot",
-    "to_records",
-    "peak_memory_of_order",
-    "greedy_min_peak_order",
-    "optimal_order",
 ]

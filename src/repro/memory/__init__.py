@@ -24,8 +24,6 @@ from .calibration import (
     calibrated_models,
     fit_paper_coefficients,
 )
-from .fit import FitCell, FitGrid, fit_grid, fit_grid_calibrated
-from .precision import cast_account, mixed_precision_account
 from .profile import LayerProfile, MemoryProfile, memory_profile
 
 __all__ = [
@@ -51,12 +49,6 @@ __all__ = [
     "PAPER_IMAGE_SIZES_T2",
     "PAPER_IMAGE_SIZES_T3",
     "PAPER_DEVICE_BUDGET_MB",
-    "FitCell",
-    "FitGrid",
-    "fit_grid",
-    "fit_grid_calibrated",
-    "cast_account",
-    "mixed_precision_account",
     "LayerProfile",
     "MemoryProfile",
     "memory_profile",

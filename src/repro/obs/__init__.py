@@ -32,7 +32,6 @@ from .metrics import (
     Metrics,
     get_metrics,
     reset_metrics,
-    set_metrics,
 )
 from .runlog import (
     CAMPAIGN_FILENAME,
@@ -70,7 +69,6 @@ __all__ = [
     "Histogram",
     "Metrics",
     "get_metrics",
-    "set_metrics",
     "reset_metrics",
     "chrome_trace",
     "write_chrome_trace",

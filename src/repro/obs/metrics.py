@@ -25,7 +25,6 @@ __all__ = [
     "Histogram",
     "Metrics",
     "get_metrics",
-    "set_metrics",
     "reset_metrics",
 ]
 
@@ -227,21 +226,11 @@ class Metrics:
 
 
 _default = Metrics()
-_default_lock = threading.Lock()
 
 
 def get_metrics() -> Metrics:
     """The process-wide default registry."""
     return _default
-
-
-def set_metrics(metrics: Metrics) -> Metrics:
-    """Swap the process-wide registry; returns the previous one."""
-    global _default
-    with _default_lock:
-        previous = _default
-        _default = metrics
-    return previous
 
 
 def reset_metrics() -> None:

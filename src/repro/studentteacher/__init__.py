@@ -5,14 +5,6 @@ from .teacher import TeacherModel
 from .tracker import TrackedDetection, Tracker, TrackState, track_episode
 from .harvest import HarvestedSample, HarvestResult, harvest_labels
 from .student import StudentConfig, StudentModel, build_student, train_student
-from .evaluation import (
-    CalibrationBin,
-    calibration_curve,
-    confusion_matrix,
-    expected_calibration_error,
-    per_class_accuracy,
-)
-from .online import OnlineAdapter, OnlineConfig, OnlineSnapshot
 from .pipeline import PipelineConfig, PipelineResult, run_pipeline
 
 __all__ = [
@@ -36,12 +28,4 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "run_pipeline",
-    "OnlineConfig",
-    "OnlineSnapshot",
-    "OnlineAdapter",
-    "confusion_matrix",
-    "per_class_accuracy",
-    "CalibrationBin",
-    "calibration_curve",
-    "expected_calibration_error",
 ]

@@ -215,6 +215,22 @@ class TestExtensionCommands:
                 ("resilience", "--seed", "-1", "--trials", "1"),
                 "seed must be finite and >= 0, got -1",
             ),
+            (
+                ("resilience", "--snapshot-mb", "inf", "--trials", "1"),
+                "snapshot_mb must be finite, got inf",
+            ),
+            (
+                ("exec", "--act-kb", "inf", "--length", "5", "--slots", "2"),
+                "act_kb must be finite and >= 0, got inf",
+            ),
+            (
+                ("exec", "--act-kb", "inf", "--length", "5", "--slots", "2", "--compile"),
+                "act_kb must be finite and >= 0, got inf",
+            ),
+            (
+                ("exec", "--act-kb", "nan", "--length", "5", "--slots", "2"),
+                "act_kb must be finite and >= 0, got nan",
+            ),
         ),
         ids=(
             "fleet-nodes0", "fleet-crash-nan", "energy-gflops-nan",
@@ -224,7 +240,8 @@ class TestExtensionCommands:
             "energy-image-kb-negative", "resilience-mtbf-negative", "resilience-trials0",
             "campaign-crossings-inf", "resilience-work-negative", "resilience-restart-negative",
             "resilience-snapshot-negative", "campaign-target-above-1", "viewpoint-epochs0",
-            "energy-image-kb-inf", "resilience-seed-negative",
+            "energy-image-kb-inf", "resilience-seed-negative", "resilience-snapshot-inf",
+            "exec-act-kb-inf", "exec-act-kb-inf-compile", "exec-act-kb-nan",
         ),
     )
     def test_bad_input_exits_2_without_traceback(self, capsys, argv, message):

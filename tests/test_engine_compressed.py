@@ -26,6 +26,7 @@ from repro.checkpointing import (
     compressed_variant,
     is_compressed_slot,
     joint_cost,
+    joint_plan,
     joint_schedule,
     local_slot,
     measure_frontier,
@@ -58,11 +59,11 @@ from repro.engine import (
 FAMILIES = available_strategies()
 
 
-def _random_spec(l: int, seed: int) -> ChainSpec:
+def _random_spec(l: int, seed: int, max_bytes: int = 4096) -> ChainSpec:
     rng = random.Random(seed)
     return ChainSpec(
         name=f"z{seed}",
-        act_bytes=tuple(rng.randint(1, 4096) for _ in range(l + 1)),
+        act_bytes=tuple(rng.randint(1, max_bytes) for _ in range(l + 1)),
         fwd_cost=tuple(rng.uniform(0.1, 3.0) for _ in range(l)),
         bwd_cost=tuple(rng.uniform(0.1, 3.0) for _ in range(l)),
     )
@@ -291,13 +292,18 @@ class TestPlannedEqualsMeasured:
         """The DP's priced cost for a compressed plan equals executing
         that plan on a CompressedBackend, codec seconds included — in
         seconds, and in joules with the rail held at ``io_w`` through
-        every transfer."""
+        every transfer.
+
+        Steps cost enough, activations are large enough and slots are
+        tight enough that every case stores splits through the codec.
+        """
         rng = random.Random(seed)
         l = rng.randint(2, 18)
-        spec = _random_spec(l, 1000 + seed)
-        c = rng.randint(1, 4)
-        unit_s = 1e-9
+        spec = _random_spec(l, 1000 + seed, max_bytes=1 << 16)
+        c = min(rng.randint(1, 4), l // 2)
+        unit_s = 0.1
         obj = objective(spec, SD_CARD, unit_s, codec=codec)
+        assert joint_plan(spec, c, obj).compressed_splits > 0
         sched = joint_schedule(spec, c, obj, family="joint_zip")
         assert validate(sched)
         run = execute(sched, CompressedBackend(spec, codec, disk=SD_CARD))

@@ -28,7 +28,7 @@ from repro.resilience import (
     WeibullFaults,
     YoungDalyPolicy,
 )
-from repro.studentteacher import OnlineConfig, PipelineConfig, StudentConfig
+from repro.studentteacher import PipelineConfig, StudentConfig
 
 
 @pytest.mark.parametrize(
@@ -162,9 +162,6 @@ CASES = (
     # loss_sum is a measured accumulator (a diverged run's NaN loss must
     # still be resumable), not a configured value.
     Case("FitCursor", FitCursor, {}, ("epoch", "batch", "step", "peak_bytes")),
-    Case("OnlineConfig", OnlineConfig, {},
-         ("update_every", "steps_per_update", "batch_size", "buffer_max",
-          "confidence_threshold", "min_track_length")),
     Case("AccountingPolicy", AccountingPolicy, dict(name="p"),
          ("weight_copies", "activation_copies")),
     Case("YoungDalyPolicy", YoungDalyPolicy,

@@ -38,8 +38,12 @@ class TestTable1:
             assert not any(t.exceeds_budget(1, d) for d in t.depths)
 
     def test_shading_batch50_all(self):
+        """Every model is shaded at batch 50; at batch 3 only ResNet-152
+        is, and at batch 30 only ResNet-18 still fits."""
         t = table1("paper")
         assert all(t.exceeds_budget(50, d) for d in t.depths)
+        assert {d for d in t.depths if t.exceeds_budget(3, d)} == {152}
+        assert {d for d in t.depths if not t.exceeds_budget(30, d)} == {18}
 
     def test_render_marks_shaded(self):
         text = table1("paper").as_table().render()

@@ -23,7 +23,6 @@ from repro.graph import (
     cut_points,
     homogenize,
     linearize,
-    to_records,
 )
 from repro.memory import INFERENCE_POLICY, TRAINING_POLICY, account
 
@@ -138,7 +137,8 @@ def test_homogenized_chain_schedulable(seed, n_blocks, image, channels):
 @given(**graph_params)
 @settings(max_examples=25, deadline=None)
 def test_records_reconstruct_totals(seed, n_blocks, image, channels):
+    """Per-node parameter counts sum to the graph's total."""
     g = random_graph(seed, n_blocks, image, channels)
-    records = to_records(g)
-    assert sum(r["trainable_params"] for r in records) == g.trainable_numel
-    assert len(records) == len(g)
+    g.infer()
+    assert sum(n.layer.trainable_numel for n in g.nodes) == g.trainable_numel
+    assert len(g.nodes) == len(g)
