@@ -20,11 +20,16 @@ from repro.autodiff import (
     Momentum,
     ReLULayer,
     SequentialNet,
-    batches,
+    Trainer,
+    TrainerConfig,
     image_blobs,
-    run_schedule,
 )
-from repro.checkpointing import revolve_schedule, store_all_schedule, uniform_schedule
+from repro.checkpointing import (
+    revolve_schedule,
+    simulate,
+    store_all_schedule,
+    uniform_schedule,
+)
 from repro.units import humanize_bytes
 
 
@@ -63,21 +68,14 @@ def train(schedule_name: str, epochs: int = 5, seed: int = 7) -> None:
     }
     schedule = schedules[schedule_name]
 
-    peak = 0
-    extra = 0
-    batch_rng = np.random.default_rng(seed + 1)  # same batch order each run
-    last_loss = 0.0
-    for _ in range(epochs):
-        for xb, yb in batches(data, 16, batch_rng):
-            res = run_schedule(net, schedule, xb, yb)
-            opt.step(res.grads)
-            peak = max(peak, res.peak_bytes)
-            extra = max(extra, res.forward_steps - (l - 1))
-            last_loss = res.loss
+    # Same shuffle seed each run => same batch order.
+    config = TrainerConfig(epochs=epochs, batch_size=16, shuffle_seed=seed + 1, schedule=schedule)
+    trainer = Trainer(net, opt, config)
+    history = trainer.fit(data)
     print(
-        f"{schedule_name:>11}: final loss {last_loss:.4f}  "
-        f"peak live bytes {humanize_bytes(peak):>10}  "
-        f"extra forwards/step {extra}"
+        f"{schedule_name:>11}: final loss {history[-1].mean_loss:.4f}  "
+        f"peak live bytes {humanize_bytes(trainer.peak_bytes):>10}  "
+        f"extra forwards/step {simulate(schedule).extra_forward_steps()}"
     )
 
 

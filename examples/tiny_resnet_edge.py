@@ -1,8 +1,8 @@
 """Train a real (NumPy) residual CNN under a planned checkpoint schedule.
 
 The closest executable analog of the paper's scenario: a residual conv
-network (each block = one chain step, as the symbolic linearizer also
-concludes), an artificial memory cap standing in for the 2 GB node, the
+network (each block = one chain step, checkpointed at the block
+boundaries), an artificial memory cap standing in for the 2 GB node, the
 planner choosing the Revolve slot count, and the schedule-driven executor
 doing the training — with a live memory-over-time trace comparing the
 plans at the end.
@@ -21,10 +21,9 @@ from repro.autodiff import (
     ReLULayer,
     ResidualBlockLayer,
     SequentialNet,
-    accuracy,
-    batches,
+    Trainer,
+    TrainerConfig,
     image_blobs,
-    run_schedule,
 )
 from repro.checkpointing import (
     ChainSpec,
@@ -71,18 +70,13 @@ def main() -> None:
           f"{humanize_bytes(store_all_bytes)} per batch of 16")
 
     sch = revolve_schedule(l, 2)
-    opt = Momentum(net.layers, lr=0.01)
-    peak = 0
-    for epoch in range(6):
-        epoch_loss, nb = 0.0, 0
-        for xb, yb in batches(data, 16, np.random.default_rng(epoch)):
-            res = run_schedule(net, sch, xb, yb)
-            opt.step(res.grads)
-            peak = max(peak, res.peak_bytes)
-            epoch_loss += res.loss
-            nb += 1
-        print(f"  epoch {epoch}: loss {epoch_loss / nb:.4f}")
-    acc = accuracy(net.forward(data.x), data.y)
+    trainer = Trainer(
+        net, Momentum(net.layers, lr=0.01), TrainerConfig(epochs=6, batch_size=16, schedule=sch)
+    )
+    for record in trainer.fit(data):
+        print(f"  epoch {record.epoch}: loss {record.mean_loss:.4f}")
+    acc = trainer.evaluate(data)
+    peak = trainer.peak_bytes
     print(f"final accuracy {acc:.3f}; peak live bytes {humanize_bytes(peak)} "
           f"({peak / store_all_bytes:.0%} of store-all activations)")
 

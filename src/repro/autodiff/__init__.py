@@ -19,13 +19,13 @@ from .layers import (
     param_bytes,
 )
 from .blocks import AvgPoolLayer, DropoutLayer, ResidualBlockLayer
-from .loss import accuracy, mse_loss, softmax, softmax_cross_entropy
-from .optim import SGD, Adam, Momentum, Optimizer
+from .loss import accuracy, softmax, softmax_cross_entropy
+from .optim import SGD, Momentum, Optimizer
 from .network import SequentialNet
 from .executor import CheckpointedResult, run_schedule
 from .trainer import EpochRecord, FitCursor, Trainer, TrainerConfig
 from .meter import MemoryMeter
-from .data import Dataset, batches, gaussian_blobs, image_blobs, spirals
+from .data import Dataset, batches, gaussian_blobs, image_blobs
 
 __all__ = [
     "im2col",
@@ -47,12 +47,10 @@ __all__ = [
     "param_bytes",
     "softmax",
     "softmax_cross_entropy",
-    "mse_loss",
     "accuracy",
     "Optimizer",
     "SGD",
     "Momentum",
-    "Adam",
     "SequentialNet",
     "CheckpointedResult",
     "run_schedule",
@@ -63,7 +61,6 @@ __all__ = [
     "MemoryMeter",
     "Dataset",
     "gaussian_blobs",
-    "spirals",
     "image_blobs",
     "batches",
 ]

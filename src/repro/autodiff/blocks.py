@@ -2,10 +2,10 @@
 
 :class:`ResidualBlockLayer` makes real ResNet-style training compatible
 with chain checkpointing: the whole block (body + skip) is *one* chain
-step, so the sequential executor can checkpoint at block boundaries —
-exactly the cut points :func:`repro.graph.chain.linearize` finds on the
-symbolic side.  Its backward recomputes the block interior from the
-block input, like every other layer.
+step, so the sequential executor can checkpoint at block boundaries,
+the only places where a single tensor crosses between blocks.  Its
+backward recomputes the block interior from the block input, like every
+other layer.
 
 :class:`DropoutLayer` shows how stochastic layers stay replay-exact
 under checkpointing: the mask is a pure function of ``(seed, step)``, so

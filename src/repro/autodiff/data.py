@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ConfigError, at_least
 
-__all__ = ["Dataset", "gaussian_blobs", "spirals", "image_blobs", "batches"]
+__all__ = ["Dataset", "gaussian_blobs", "image_blobs", "batches"]
 
 
 @dataclass(frozen=True)
@@ -51,22 +51,6 @@ def gaussian_blobs(
     xs, ys = [], []
     for c in range(num_classes):
         xs.append(rng.normal(0.0, spread, size=(n_per_class, dim)) + centers[c])
-        ys.append(np.full(n_per_class, c, dtype=np.int64))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    perm = rng.permutation(len(y))
-    return Dataset(x[perm], y[perm])
-
-
-def spirals(n_per_class: int, num_classes: int, rng: np.random.Generator, noise: float = 0.1) -> Dataset:
-    """Interleaved 2-D spirals — a classic nonlinear benchmark."""
-    xs, ys = [], []
-    for c in range(num_classes):
-        t = np.linspace(0.2, 1.0, n_per_class)
-        angle = 2.0 * np.pi * (t * 1.5 + c / num_classes)
-        pts = np.stack([t * np.cos(angle), t * np.sin(angle)], axis=1)
-        pts += rng.normal(0.0, noise, size=pts.shape)
-        xs.append(pts)
         ys.append(np.full(n_per_class, c, dtype=np.int64))
     x = np.concatenate(xs)
     y = np.concatenate(ys)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["softmax_cross_entropy", "mse_loss", "softmax", "accuracy"]
+__all__ = ["softmax_cross_entropy", "softmax", "accuracy"]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -23,13 +23,6 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     grad = p.copy()
     grad[np.arange(n), labels] -= 1.0
     return loss, grad / n
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error and its gradient."""
-    diff = pred - target
-    loss = float((diff**2).mean())
-    return loss, 2.0 * diff / diff.size
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -2,7 +2,7 @@
 
 Each optimizer reports ``state_bytes`` — the extra per-parameter copies it
 keeps — which ties directly into the memory model's ``weight_copies``
-convention (SGD: 0 extra, Momentum: 1, Adam: 2).
+convention (SGD: 0 extra, Momentum: 1).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 from ..errors import ConfigError, positive
 from .layers import TrainLayer
 
-__all__ = ["Optimizer", "SGD", "Momentum", "Adam"]
+__all__ = ["Optimizer", "SGD", "Momentum"]
 
 GradMap = dict[tuple[str, str], np.ndarray]
 
@@ -93,48 +93,3 @@ class Momentum(Optimizer):
         self._vel = {k: np.array(v, copy=True) for k, v in state["vel"].items()}
 
 
-class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction."""
-
-    state_copies = 2
-
-    def __init__(
-        self,
-        layers: list[TrainLayer],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
-        super().__init__(layers, lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self._m: dict[tuple[str, str], np.ndarray] = {}
-        self._v: dict[tuple[str, str], np.ndarray] = {}
-        self._t = 0
-
-    def step(self, grads: GradMap) -> None:
-        self._t += 1
-        b1, b2 = self.beta1, self.beta2
-        for layer, pname, value, g in self._iter(grads):
-            key = (layer.name, pname)
-            m = self._m.setdefault(key, np.zeros_like(value))
-            v = self._v.setdefault(key, np.zeros_like(value))
-            m += (1 - b1) * (g - m)
-            v += (1 - b2) * (g * g - v)
-            mhat = m / (1 - b1**self._t)
-            vhat = v / (1 - b2**self._t)
-            value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self._t,
-            "m": {k: v.copy() for k, v in self._m.items()},
-            "v": {k: v.copy() for k, v in self._v.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._t = int(state["t"])
-        self._m = {k: np.array(v, copy=True) for k, v in state["m"].items()}
-        self._v = {k: np.array(v, copy=True) for k, v in state["v"].items()}

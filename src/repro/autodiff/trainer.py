@@ -1,10 +1,12 @@
 """A schedule-aware training loop.
 
-:class:`Trainer` consolidates the loop the examples and the student
-module hand-roll: plan the checkpoint schedule once (store-all when the
-budget allows, any registered strategy otherwise), iterate epochs and
-batches, step the optimizer, bump per-step layers (dropout), and record
-history and the live-memory high-water mark.
+:class:`Trainer` is the one training loop: the in-situ student
+(:func:`repro.studentteacher.train_student`), crash recovery and the
+examples all train through :meth:`Trainer.fit`.  It plans the checkpoint
+schedule once (store-all when the budget allows, any registered strategy
+otherwise), iterates epochs and batches, steps the optimizer, bumps
+per-step layers (dropout), and records history and the live-memory
+high-water mark.
 """
 
 from __future__ import annotations

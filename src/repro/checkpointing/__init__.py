@@ -31,11 +31,9 @@ from .actions import (
     compressed_slot,
     free,
     is_compressed_slot,
-    local_slot,
     restore,
     snapshot,
     storage_slot,
-    tier_name,
     tier_of_slot,
     tier_slot,
 )
@@ -74,9 +72,6 @@ from .dynprog import (
 from .analysis import (
     ParetoPoint,
     pareto_frontier,
-    regime_table,
-    slots_for_repetitions,
-    slots_logarithmic_bound,
 )
 from .joint import (
     EnergyObjective,
@@ -112,7 +107,6 @@ from .planner import (
     compare_strategies,
     max_slots_in_budget,
     measure_frontier,
-    memory_curve,
     memory_for_slots,
     plan_training,
     rho_for_budget,
@@ -134,8 +128,6 @@ __all__ = [
     "TIER_DISK",
     "tier_of_slot",
     "tier_slot",
-    "local_slot",
-    "tier_name",
     "COMPRESS_SLOT_BASE",
     "is_compressed_slot",
     "compressed_slot",
@@ -196,11 +188,8 @@ __all__ = [
     "CacheInfo",
     "schedule_cache_info",
     "clear_schedule_cache",
-    "regime_table",
     "ParetoPoint",
     "pareto_frontier",
-    "slots_for_repetitions",
-    "slots_logarithmic_bound",
     "PlanPoint",
     "TrainingPlan",
     "FRONTIER_FAMILIES",
@@ -211,7 +200,6 @@ __all__ = [
     "slots_for_rhos",
     "memory_for_slots",
     "max_slots_in_budget",
-    "memory_curve",
     "rho_for_budget",
     "plan_training",
     "compare_strategies",

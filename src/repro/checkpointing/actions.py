@@ -32,10 +32,10 @@ slots ``0, 1, 2, ...`` and tier 1 (:data:`TIER_DISK`) starts at
 ``1_000_000`` (:data:`DISK_SLOT_BASE`) — one alphabet shared by the
 schedule VM (:mod:`repro.engine.vm`), the tiered backend
 (:mod:`repro.engine.tiered`) and the flat program IR
-(:mod:`repro.engine.program`).  :func:`tier_of_slot` /
-:func:`tier_slot` / :func:`local_slot` convert between the flat id and
-the (tier, local) pair; the encoding stays well inside int32 so compiled
-programs round-trip paged schedules exactly.
+(:mod:`repro.engine.program`).  :func:`tier_of_slot` and
+:func:`tier_slot` convert between the flat id and the (tier, local)
+pair; the encoding stays well inside int32 so compiled programs
+round-trip paged schedules exactly.
 
 Compression
 -----------
@@ -72,12 +72,9 @@ __all__ = [
     "TIER_SLOT_STRIDE",
     "TIER_RAM",
     "TIER_DISK",
-    "TIER_NAMES",
     "DISK_SLOT_BASE",
     "tier_of_slot",
     "tier_slot",
-    "local_slot",
-    "tier_name",
     "COMPRESS_SLOT_BASE",
     "is_compressed_slot",
     "compressed_slot",
@@ -96,9 +93,6 @@ TIER_RAM = 0
 
 #: Tier index of the (flash/SD/eMMC) paging tier.
 TIER_DISK = 1
-
-#: Display names of the known tiers, indexed by tier id.
-TIER_NAMES: tuple[str, ...] = ("memory", "disk")
 
 
 def is_compressed_slot(slot: int) -> bool:
@@ -142,20 +136,6 @@ def tier_slot(tier: int, local: int) -> int:
 
 #: First slot id of the disk tier — where paged schedules' disk band starts.
 DISK_SLOT_BASE = tier_slot(TIER_DISK, 0)
-
-
-def local_slot(slot: int) -> int:
-    """Position of a flat slot id within its tier's band (flag ignored)."""
-    return storage_slot(slot) % TIER_SLOT_STRIDE
-
-
-def tier_name(tier: int) -> str:
-    """Display name of a tier (``tier2``, ``tier3``, ... beyond the known two)."""
-    if tier < 0:
-        raise ScheduleError(f"tier must be >= 0, got {tier}")
-    if tier < len(TIER_NAMES):
-        return TIER_NAMES[tier]
-    return f"tier{tier}"
 
 
 class ActionKind(enum.Enum):

@@ -1,16 +1,8 @@
-"""Closed-form analysis helpers: regimes, asymptotics, Pareto frontiers.
+"""Closed-form analysis: the exact memory/recompute Pareto frontier.
 
-Everything here is derived from Revolve's binomial structure:
-
-* the *repetition regimes* — for slots ``c``, chains of length up to
-  ``β(c, r)`` are reversible with every step recomputed at most ``r``
-  times; :func:`regime_table` tabulates the thresholds;
-* :func:`pareto_frontier` — the exact memory/recompute trade-off curve
-  ``{(c, extra(l, c))}`` with dominated points removed: the object
-  Figure 1 projects into bytes, exposed as data;
-* :func:`slots_logarithmic_bound` — the paper's Section VI point in
-  closed form: to keep ρ ≤ 1 + r·u_f share, ``c = O(l^{1/r})`` slots
-  suffice, dropping to ``O(log l)`` at ρ near 2.
+:func:`pareto_frontier` is derived from Revolve's binomial structure: the
+curve ``{(c, extra(l, c))}`` with dominated points removed — the object
+Figure 1 projects into bytes, exposed as data.
 """
 
 from __future__ import annotations
@@ -18,25 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import PlanningError
-from .revolve import beta, extra_forwards, repetition_number
+from .revolve import extra_forwards, repetition_number
 
-__all__ = [
-    "regime_table",
-    "ParetoPoint",
-    "pareto_frontier",
-    "slots_for_repetitions",
-    "slots_logarithmic_bound",
-]
-
-
-def regime_table(c: int, max_r: int = 8) -> list[tuple[int, int]]:
-    """[(r, max chain length reversible with ≤ r repetitions per step)].
-
-    Row ``r`` is the Griewank–Walther bound ``β(c, r) = C(c+r, c)``.
-    """
-    if c < 1 or max_r < 1:
-        raise PlanningError("need c >= 1 and max_r >= 1")
-    return [(r, beta(c, r)) for r in range(1, max_r + 1)]
+__all__ = ["ParetoPoint", "pareto_frontier"]
 
 
 @dataclass(frozen=True)
@@ -72,29 +48,3 @@ def pareto_frontier(l: int) -> list[ParetoPoint]:
         if extra == 0:
             break
     return points
-
-
-def slots_for_repetitions(l: int, r: int) -> int:
-    """Minimal slots keeping every step's recompute count ≤ ``r``.
-
-    Inverts ``β(c, r) >= l`` in ``c`` — the closed-form companion of
-    :func:`~repro.checkpointing.revolve.min_slots_for_extra`.
-    """
-    if l < 1 or r < 1:
-        raise PlanningError("need l >= 1 and r >= 1")
-    c = 1
-    while beta(c, r) < l:
-        c += 1
-    return c
-
-
-def slots_logarithmic_bound(l: int) -> int:
-    """Slots sufficient for ρ ≤ 2 on a homogeneous chain (u_f = u_b).
-
-    At ρ = 2 the budget is ``extra ≤ 2l``, i.e. on average each step may
-    be recomputed twice; ``β(c, 2) = C(c+2, 2) ≥ l`` gives
-    ``c ≈ √(2l)`` — and for each extra repetition allowed the requirement
-    drops geometrically, reaching O(log l) slots at r ≈ log l.  Returned
-    value is the exact minimal c for r = 2.
-    """
-    return slots_for_repetitions(l, 2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import ScheduleError
-from ..graph import LinearChain, SegmentChain
+from ..graph import LinearChain
 
 __all__ = ["ChainSpec"]
 
@@ -80,18 +80,6 @@ class ChainSpec:
         """
         acts = (chain.input_bytes,) + (chain.act_bytes,) * chain.length
         fwd = (float(chain.step_flops or 1),) * chain.length
-        return cls(
-            name=chain.name,
-            act_bytes=acts,
-            fwd_cost=fwd,
-            bwd_cost=tuple(f * bwd_ratio for f in fwd),
-        )
-
-    @classmethod
-    def from_segment_chain(cls, chain: SegmentChain, bwd_ratio: float = 2.0) -> "ChainSpec":
-        """From a real linearized DAG (heterogeneous sizes and costs)."""
-        acts = (chain.input_bytes,) + tuple(s.act_bytes for s in chain.stages)
-        fwd = tuple(float(s.flops or 1) for s in chain.stages)
         return cls(
             name=chain.name,
             act_bytes=acts,

@@ -53,7 +53,6 @@ __all__ = [
     "slots_for_rhos",
     "memory_for_slots",
     "max_slots_in_budget",
-    "memory_curve",
     "rho_for_budget",
     "plan_training",
     "compare_strategies",
@@ -147,31 +146,6 @@ class PlanPoint:
     slots: int
     extra_forwards: int
     memory_bytes: float
-
-
-def memory_curve(
-    l: int,
-    fixed_bytes: float,
-    slot_bytes: float,
-    rhos: list[float] | tuple[float, ...],
-    bwd_ratio: float = 1.0,
-) -> list[PlanPoint]:
-    """Peak memory as a function of ρ — one Figure 1 line.
-
-    The whole ρ grid is inverted in one :func:`slots_for_rhos` batch;
-    ``extra_forwards`` values come from the same precomputed table.
-    """
-    slots = slots_for_rhos(l, tuple(rhos), bwd_ratio)
-    extras = _extras_by_slots(l)
-    return [
-        PlanPoint(
-            rho=rho,
-            slots=c,
-            extra_forwards=extras[c - 1],
-            memory_bytes=memory_for_slots(c, fixed_bytes, slot_bytes),
-        )
-        for rho, c in zip(rhos, slots)
-    ]
 
 
 def rho_for_budget(
@@ -283,6 +257,8 @@ def compare_strategies(
     paper's Section VI claim is revolve ≤ uniform everywhere, with the
     gap widest at small budgets.
     """
+    if l < 1:
+        raise PlanningError(f"chain length must be >= 1, got {l}")
     if slot_budget < 1:
         raise PlanningError("slot budget must be >= 1")
     names = available_strategies() if strategies is None else tuple(strategies)

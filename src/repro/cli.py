@@ -274,10 +274,12 @@ def _run(args: argparse.Namespace) -> str:
             raise SystemExit("--telemetry needs --outdir (runlogs live under it)")
         return spec.renderers[args.fmt](lab.compute_payload(args.spec, params))
     store = lab.ArtifactStore(args.outdir)
-    report = lab.run_units(
-        [lab.Unit(args.spec, params)], store,
-        force=args.force, telemetry=args.telemetry,
-    )
+    # One rendered output under a key-derived stem (never one of `repro
+    # all`'s), so the run leaves a manifest like every default unit.
+    stem = f"{args.spec}-{lab.unit_key(spec, params)[:16]}"
+    ext = args.fmt if args.fmt in ("csv", "json") else "txt"
+    unit = lab.Unit(args.spec, params, outputs=((f"{stem}.{ext}", args.fmt),), stem=stem)
+    report = lab.run_units([unit], store, force=args.force, telemetry=args.telemetry)
     payload = store.load_payload(report.outcomes[-1].key)
     out = (
         spec.renderers[args.fmt](payload).rstrip("\n")

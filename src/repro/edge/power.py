@@ -6,9 +6,9 @@ winner depends on radio and silicon efficiency, both of which span
 orders of magnitude across deployments, so every coefficient is a
 parameter and the interesting outputs are breakevens:
 
-* :func:`compare_strategies_energy` / :func:`breakeven_epochs` — the
-  *training* question: upload the harvested set once vs run ``epochs``
-  of local (possibly checkpointed, ρ > 1) training.  With compressed
+* :func:`breakeven_epochs` — the *training* question: upload the
+  harvested set once vs run ``epochs`` of local (possibly checkpointed,
+  ρ > 1) training.  With compressed
   10 kB images and multi-GFLOP models, shipping the *training set* is
   often energetically cheap — the in-situ case rests on privacy,
   bandwidth provisioning and continuous freshness, which this module
@@ -32,7 +32,6 @@ from ..errors import ConfigError, at_least
 __all__ = [
     "EnergyModel",
     "EnergyComparison",
-    "compare_strategies_energy",
     "breakeven_epochs",
     "streaming_comparison",
 ]
@@ -79,35 +78,6 @@ class EnergyComparison:
         if self.ship_joules == 0:
             return float("inf") if self.local_joules > 0 else 1.0
         return self.local_joules / self.ship_joules
-
-
-def compare_strategies_energy(
-    n_images: int,
-    image_bytes: int,
-    flops_per_sample: float,
-    epochs: int,
-    model: EnergyModel = EnergyModel(),
-    rho: float = 1.0,
-    bwd_ratio: float = 2.0,
-    model_bytes: float = 0.0,
-) -> EnergyComparison:
-    """Price ship-to-cloud vs train-locally for one adaptation round.
-
-    ``ship`` uploads all images once and downloads ``model_bytes`` back;
-    ``local`` runs ``epochs`` fwd+bwd passes over the set at recompute
-    factor ``rho`` (which multiplies the *forward* recomputation only).
-    """
-    at_least("n_images", n_images)
-    at_least("epochs", epochs, 1)
-    at_least("rho", rho, 1.0)
-    ship = model.transfer_energy(n_images * image_bytes + model_bytes)
-    fwd = flops_per_sample
-    # one fwd (+ recompute overhead) + backward, per sample per epoch
-    step_flops = fwd * (1.0 + (rho - 1.0) * (1.0 + bwd_ratio)) + fwd * bwd_ratio
-    local = model.compute_energy(n_images * epochs * step_flops)
-    return EnergyComparison(
-        ship_joules=ship, local_joules=local, n_images=n_images, epochs=epochs
-    )
 
 
 def breakeven_epochs(

@@ -27,10 +27,8 @@ from .figure1 import (
 )
 from .ablation import (
     BatchPoint,
-    HarvestPoint,
     batch_tradeoff,
     batch_tradeoff_table,
-    harvest_ablation,
     strategy_ablation,
     strategy_ablation_table,
 )
@@ -72,8 +70,6 @@ __all__ = [
     "BatchPoint",
     "batch_tradeoff",
     "batch_tradeoff_table",
-    "HarvestPoint",
-    "harvest_ablation",
     "SensitivityPoint",
     "fit_rho",
     "sensitivity_sweep",

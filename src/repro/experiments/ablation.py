@@ -6,29 +6,16 @@
 * :func:`batch_tradeoff` — Section VI's closing remark: larger batches
   raise hardware efficiency, so spending recompute (checkpointing) to
   afford a bigger batch can *lower* total epoch time.
-* :func:`harvest_ablation` — Section III pipeline: label-source and
-  confidence-threshold effects on harvested-label purity and student
-  accuracy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..checkpointing import available_strategies, compare_strategies
 from ..edge import Device, TrainingWorkload, sweep_batch_sizes
 from ..lab import Param, UnitDef, experiment
 from ..obs import get_tracer
-from ..studentteacher import (
-    PipelineConfig,
-    StudentConfig,
-    TeacherModel,
-    ViewpointWorld,
-    harvest_labels,
-    track_episode,
-)
 from .report import Table, render_json, table_from_payload, table_to_payload
 
 __all__ = [
@@ -37,8 +24,6 @@ __all__ = [
     "BatchPoint",
     "batch_tradeoff",
     "batch_tradeoff_table",
-    "HarvestPoint",
-    "harvest_ablation",
 ]
 
 
@@ -153,54 +138,6 @@ def batch_tradeoff_table(workload: TrainingWorkload, device: Device, batch_sizes
         cells=cells,
         row_header="batch",
     )
-
-
-@dataclass(frozen=True)
-class HarvestPoint:
-    """Harvest quality under one labelling policy."""
-
-    label_source: str
-    confidence_threshold: float
-    samples: int
-    purity: float
-    tracks_labelled: int
-
-
-def harvest_ablation(
-    cfg: PipelineConfig | None = None,
-    thresholds: tuple[float, ...] = (0.5, 0.7, 0.9, 0.99),
-) -> list[HarvestPoint]:
-    """Label purity per (label source, confidence threshold).
-
-    Shows why the paper's "identify in the last frame" rule matters: with
-    aspect confusion, max-confidence labelling confidently mislabels
-    skewed frames, lowering purity.
-    """
-    cfg = cfg or PipelineConfig(n_subjects=80, student=StudentConfig(epochs=5))
-    rng = np.random.default_rng(cfg.seed)
-    world = ViewpointWorld(num_classes=cfg.num_classes, feature_dim=cfg.feature_dim, rng=rng)
-    x_tr, y_tr = world.sample_frontal(cfg.teacher_train_per_class)
-    teacher = TeacherModel.fit(x_tr, y_tr)
-    episode = world.generate_episode(
-        n_subjects=cfg.n_subjects,
-        frames_per_crossing=cfg.frames_per_crossing,
-        camera_skew_deg=cfg.camera_skew_deg,
-    )
-    assignments = track_episode(episode)
-    out = []
-    for source in ("track_end", "max_confidence"):
-        for thr in thresholds:
-            h = harvest_labels(episode, assignments, teacher, confidence_threshold=thr, label_source=source)
-            out.append(
-                HarvestPoint(
-                    label_source=source,
-                    confidence_threshold=thr,
-                    samples=len(h),
-                    purity=h.label_purity,
-                    tracks_labelled=h.tracks_labelled,
-                )
-            )
-    return out
 
 
 # -- repro.lab registration ------------------------------------------------

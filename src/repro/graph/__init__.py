@@ -2,8 +2,8 @@
 
 This is the substrate on which the paper's memory tables are computed.
 Build a :class:`Graph` (or :class:`Sequential`), run :meth:`Graph.infer`,
-then query activation/parameter byte totals, or linearize into a
-checkpointable chain with :func:`linearize` / :func:`homogenize`.
+then query activation/parameter byte totals, or reduce it to the paper's
+homogeneous checkpointable chain with :func:`homogenize`.
 """
 
 from .tensor import TensorSpec, conv2d_output_hw, pool2d_output_hw
@@ -11,9 +11,7 @@ from .layer import Layer, ParamSpec
 from .layers import (
     Add,
     AdaptiveAvgPool2d,
-    AvgPool2d,
     BatchNorm2d,
-    Concat,
     Conv2d,
     Dropout,
     Flatten,
@@ -23,17 +21,9 @@ from .layers import (
     Linear,
     MaxPool2d,
     ReLU,
-    Softmax,
 )
 from .network import Graph, Node, Sequential
-from .chain import (
-    ChainStage,
-    LinearChain,
-    SegmentChain,
-    cut_points,
-    homogenize,
-    linearize,
-)
+from .chain import LinearChain, homogenize
 from .flops import FlopReport, estimate_step_seconds, flop_report
 
 __all__ = [
@@ -48,23 +38,16 @@ __all__ = [
     "BatchNorm2d",
     "ReLU",
     "MaxPool2d",
-    "AvgPool2d",
     "AdaptiveAvgPool2d",
     "Linear",
     "Flatten",
     "Dropout",
     "Add",
-    "Concat",
     "GlobalAvgPool",
-    "Softmax",
     "Graph",
     "Node",
     "Sequential",
-    "ChainStage",
-    "SegmentChain",
     "LinearChain",
-    "cut_points",
-    "linearize",
     "homogenize",
     "FlopReport",
     "flop_report",

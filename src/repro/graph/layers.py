@@ -1,8 +1,8 @@
 """Concrete symbolic layers.
 
 These mirror the layer set needed by ResNet/VGG-class vision models:
-convolution, batch norm, ReLU, max/avg pooling, adaptive average pooling,
-linear, flatten, dropout, residual add, concatenation, and an identity.
+convolution, batch norm, ReLU, max pooling, adaptive and global average
+pooling, linear, flatten, dropout, residual add, and an identity.
 All shape arithmetic follows PyTorch conventions so model summaries line up
 with the architectures the paper measured.
 """
@@ -22,15 +22,12 @@ __all__ = [
     "BatchNorm2d",
     "ReLU",
     "MaxPool2d",
-    "AvgPool2d",
     "AdaptiveAvgPool2d",
     "Linear",
     "Flatten",
     "Dropout",
     "Add",
-    "Concat",
     "GlobalAvgPool",
-    "Softmax",
 ]
 
 
@@ -185,29 +182,6 @@ class MaxPool2d(Layer):
 
 
 @dataclass
-class AvgPool2d(Layer):
-    """Average pooling over CHW inputs."""
-
-    kernel_size: int | tuple[int, int] = 2
-    stride: int | tuple[int, int] | None = None
-    padding: int | tuple[int, int] = 0
-    ceil_mode: bool = False
-
-    def infer(self, inputs: list[TensorSpec]) -> TensorSpec:
-        self._expect_arity(inputs)
-        c, h, w = self._expect_chw(inputs[0])
-        stride = self.stride if self.stride is not None else self.kernel_size
-        oh, ow = pool2d_output_hw(
-            h, w, _pair(self.kernel_size), _pair(stride), _pair(self.padding), self.ceil_mode
-        )
-        return inputs[0].with_shape((c, oh, ow))
-
-    def flops(self, inputs: list[TensorSpec], output: TensorSpec) -> int:
-        kh, kw = _pair(self.kernel_size)
-        return output.numel * kh * kw
-
-
-@dataclass
 class AdaptiveAvgPool2d(Layer):
     """Adaptive average pooling to a fixed output size (ResNet head)."""
 
@@ -301,24 +275,6 @@ class Add(Layer):
 
 
 @dataclass
-class Concat(Layer):
-    """Channel-axis concatenation (DenseNet-style; used in tests)."""
-
-    def __post_init__(self) -> None:
-        if self.arity < 2:
-            self.arity = 2
-
-    def infer(self, inputs: list[TensorSpec]) -> TensorSpec:
-        self._expect_arity(inputs)
-        hws = {spec.shape[1:] for spec in inputs}
-        if len(hws) != 1:
-            raise ShapeError(f"Concat {self.name!r}: mismatched spatial dims {hws}")
-        c = sum(spec.shape[0] for spec in inputs)
-        h, w = inputs[0].shape[1:]
-        return inputs[0].with_shape((c, h, w))
-
-
-@dataclass
 class GlobalAvgPool(Layer):
     """Average over all spatial positions, producing a flat C vector."""
 
@@ -329,17 +285,3 @@ class GlobalAvgPool(Layer):
 
     def flops(self, inputs: list[TensorSpec], output: TensorSpec) -> int:
         return inputs[0].numel
-
-
-@dataclass
-class Softmax(Layer):
-    """Softmax over a flat vector (inference head; shape preserving)."""
-
-    def infer(self, inputs: list[TensorSpec]) -> TensorSpec:
-        self._expect_arity(inputs)
-        if inputs[0].rank != 1:
-            raise ShapeError(f"Softmax {self.name!r} expects flat input")
-        return inputs[0]
-
-    def flops(self, inputs: list[TensorSpec], output: TensorSpec) -> int:
-        return 3 * output.numel

@@ -130,13 +130,13 @@ class ArtifactStore:
 
     def write_manifest(self, stem: str, doc: dict) -> Path:
         path = self.manifest_path(stem)
-        atomic_write_text(path, json.dumps(doc, indent=1, allow_nan=False))
+        atomic_write_text(path, dump_json(doc, indent=1))
         return path
 
     def read_manifest(self, stem: str) -> dict | None:
         path = self.manifest_path(stem)
         try:
-            doc = json.loads(path.read_text())
+            doc = load_json(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
         return doc if isinstance(doc, dict) else None

@@ -11,7 +11,7 @@ from .accounting import (
     MemoryAccount,
     account,
 )
-from .model import MemoryModel, memory_model_for, n_max
+from .model import MemoryModel, memory_model_for
 from .calibration import (
     PAPER_BATCH_SIZES,
     PAPER_DEVICE_BUDGET_MB,
@@ -38,7 +38,6 @@ __all__ = [
     "OPTIMIZER_WEIGHT_COPIES",
     "MemoryModel",
     "memory_model_for",
-    "n_max",
     "CalibratedModel",
     "calibrated_models",
     "fit_paper_coefficients",

@@ -7,10 +7,6 @@ batch size ``k`` and square image side ``s``.  Two evaluation modes:
   (captures convolution rounding, as the paper's Table II values do);
 * **scaling law** — quadratic interpolation from the reference size,
   ``M_act(s) ≈ M_act(ref) · (s/ref)²`` (the paper's LinearResNet idealism).
-
-It also implements the paper's Section VI quantity
-``n_max = (M_C − M_W) / (k · M_A)`` — the deepest homogeneous chain
-trainable without checkpointing in a device budget.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from ..errors import MemoryBudgetError, at_least
 from ..graph import Graph
 from .accounting import AccountingPolicy, MemoryAccount, TRAINING_POLICY, account
 
-__all__ = ["MemoryModel", "n_max", "memory_model_for"]
+__all__ = ["MemoryModel", "memory_model_for"]
 
 
 @dataclass
@@ -89,26 +85,6 @@ class MemoryModel:
                 f"{self.fixed_bytes + act} B > budget {budget_bytes} B"
             )
         return int(k)
-
-
-def n_max(
-    budget_bytes: int,
-    weight_bytes: int,
-    act_bytes_per_layer: int,
-    batch_size: int,
-    weight_copies: int = 1,
-) -> int:
-    """The paper's ``n_max = (M_C − M_W) / (k × M_A)``.
-
-    Depth of the largest homogeneous chain trainable (store-all) in
-    ``budget_bytes``.  ``weight_copies`` generalizes ``M_W`` to include
-    optimizer copies.  Returns 0 when nothing fits.
-    """
-    at_least("batch_size", batch_size, 1)
-    spare = budget_bytes - weight_copies * weight_bytes
-    if spare <= 0 or act_bytes_per_layer <= 0:
-        return 0
-    return int(spare // (batch_size * act_bytes_per_layer))
 
 
 def memory_model_for(

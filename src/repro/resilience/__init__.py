@@ -4,13 +4,12 @@ The paper's field deployment (Sections III/VI) trains opportunistically
 on nodes with intermittent power and preemptive tenants; this package
 makes that failure mode a first-class, simulated and *tested* workload:
 
-* :mod:`~repro.resilience.faults` — seeded fault models
-  (Poisson/Weibull MTBF, duty-cycle-tied power loss, transient disk
-  writes) and an injector that kills a real ``Trainer.fit``;
+* :mod:`~repro.resilience.faults` — seeded fault models (Poisson MTBF,
+  transient disk writes) and an injector that kills a real
+  ``Trainer.fit``;
 * :mod:`~repro.resilience.snapshot` — full training-state snapshots
   (params + optimizer + RNG cursor + epoch/batch position) in versioned
-  JSON, with Young/Daly and fixed-interval write policies priced by
-  :class:`~repro.edge.storage.StorageProfile`;
+  JSON, a fixed-interval write policy and the Young/Daly interval;
 * :mod:`~repro.resilience.recovery` — bit-identical resume for
   ``Trainer`` and crash/rollback replay for the duty-cycle timeline;
 * :mod:`~repro.resilience.analysis` — expected makespan, snapshot-
@@ -34,9 +33,7 @@ from .faults import (
     FaultInjector,
     FaultModel,
     PoissonFaults,
-    PowerLossFaults,
     TransientDiskFaults,
-    WeibullFaults,
 )
 from .recovery import (
     FaultyRunResult,
@@ -47,14 +44,11 @@ from .recovery import (
 from .snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     FixedIntervalPolicy,
-    SnapshotPolicy,
     TrainingSnapshot,
-    YoungDalyPolicy,
     capture_snapshot,
     read_snapshot,
     restore_snapshot,
     snapshot_from_json,
-    snapshot_nbytes,
     snapshot_to_json,
     write_snapshot,
     young_daly_interval,
@@ -63,8 +57,6 @@ from .snapshot import (
 __all__ = [
     "FaultModel",
     "PoissonFaults",
-    "WeibullFaults",
-    "PowerLossFaults",
     "TransientDiskFaults",
     "FaultInjector",
     "SNAPSHOT_FORMAT_VERSION",
@@ -75,11 +67,8 @@ __all__ = [
     "snapshot_from_json",
     "write_snapshot",
     "read_snapshot",
-    "snapshot_nbytes",
     "young_daly_interval",
-    "SnapshotPolicy",
     "FixedIntervalPolicy",
-    "YoungDalyPolicy",
     "RecoveryReport",
     "fit_with_recovery",
     "FaultyRunResult",

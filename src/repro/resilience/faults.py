@@ -10,12 +10,6 @@ the analysis layer can share:
 
 * :class:`PoissonFaults` — memoryless crashes at a given MTBF, the
   classic assumption behind the Young/Daly interval;
-* :class:`WeibullFaults` — ageing (or infant-mortality) failures, the
-  standard departure from memorylessness in HPC failure traces;
-* :class:`PowerLossFaults` — power loss tied to the duty-cycle model:
-  priority-task arrivals (the Poisson process driving
-  :class:`~repro.edge.simulator.DutyCycleSimulator`) are thinned by the
-  probability that a given preemption is actually a brown-out;
 * :class:`TransientDiskFaults` — a snapshot *write* that fails
   (SD cards on outdoor nodes do that), which the snapshotter must
   survive by keeping the previous durable snapshot.
@@ -38,8 +32,6 @@ from ..obs import get_metrics, get_tracer
 __all__ = [
     "FaultModel",
     "PoissonFaults",
-    "WeibullFaults",
-    "PowerLossFaults",
     "TransientDiskFaults",
     "FaultInjector",
 ]
@@ -85,58 +77,6 @@ class PoissonFaults(FaultModel):
 
     def sample_time_to_failure(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(self.mtbf_seconds))
-
-
-@dataclass
-class WeibullFaults(FaultModel):
-    """Weibull time-to-failure with the scale pinned to the MTBF.
-
-    ``shape < 1`` models infant mortality (nodes that crash soon after
-    reboot crash again), ``shape > 1`` ageing hardware; ``shape == 1``
-    degenerates to :class:`PoissonFaults`.  The scale is derived so the
-    *mean* stays ``mtbf_seconds``: ``scale = mtbf / Γ(1 + 1/shape)``.
-    """
-
-    mtbf_seconds: float = 12 * 3600.0
-    shape: float = 0.7
-
-    def __post_init__(self) -> None:
-        positive("mtbf_seconds", self.mtbf_seconds, inf_ok=True)
-        positive("shape", self.shape)
-        self._scale = self.mtbf_seconds / math.gamma(1.0 + 1.0 / self.shape)
-
-    def sample_time_to_failure(self, rng: np.random.Generator) -> float:
-        return float(self._scale * rng.weibull(self.shape))
-
-
-@dataclass
-class PowerLossFaults(FaultModel):
-    """Power loss as a thinned duty-cycle arrival process.
-
-    The duty-cycle model (:class:`~repro.edge.simulator.DutyCycleSimulator`)
-    has priority payloads arriving as a Poisson process at
-    ``arrival_rate_per_hour``.  A fraction ``loss_probability`` of those
-    events are not benign preemptions but brown-outs that kill the node.
-    The sample is drawn structurally — a geometric number of benign
-    arrivals, then the fatal one — so the failure time is the sum of
-    that many exponential inter-arrival gaps, keeping the tie to the
-    duty-cycle parameters explicit.  MTBF = 1 / (rate · p).
-    """
-
-    arrival_rate_per_hour: float = 6.0
-    loss_probability: float = 0.01
-
-    def __post_init__(self) -> None:
-        positive("arrival_rate_per_hour", self.arrival_rate_per_hour)
-        if not 0.0 < self.loss_probability <= 1.0:
-            raise ConfigError(f"loss_probability must be in (0, 1], got {self.loss_probability}")
-        rate = self.arrival_rate_per_hour / 3600.0
-        self.mtbf_seconds = 1.0 / (rate * self.loss_probability)
-
-    def sample_time_to_failure(self, rng: np.random.Generator) -> float:
-        arrivals = int(rng.geometric(self.loss_probability))
-        gap = 3600.0 / self.arrival_rate_per_hour
-        return float(rng.gamma(arrivals, gap))
 
 
 @dataclass

@@ -35,9 +35,10 @@ from ..errors import FaultError, PlanningError, at_least, positive
 from ..obs import get_metrics, get_tracer
 from .faults import FaultInjector, FaultModel, TransientDiskFaults
 from .snapshot import (
-    SnapshotPolicy,
+    FixedIntervalPolicy,
     TrainingSnapshot,
     capture_snapshot,
+    read_snapshot,
     restore_snapshot,
     write_snapshot,
 )
@@ -73,7 +74,7 @@ def fit_with_recovery(
     trainer: Trainer,
     data: Dataset,
     *,
-    policy: SnapshotPolicy,
+    policy: FixedIntervalPolicy,
     injector: FaultInjector | None = None,
     snapshot_path: str | pathlib.Path | None = None,
     disk_faults: TransientDiskFaults | None = None,
@@ -92,7 +93,9 @@ def fit_with_recovery(
     transient ``disk_faults``; a failed write keeps the previous
     snapshot).  On :class:`~repro.errors.FaultError` the trainer is
     restored from the latest surviving snapshot and resumed from its
-    cursor.
+    cursor; with ``snapshot_path`` set, that snapshot is read back from
+    the file, so a corrupt file fails with
+    :class:`~repro.errors.SnapshotError` instead of resuming.
 
     Raises :class:`~repro.errors.PlanningError` after ``max_faults``
     crashes (a fault schedule denser than progress would loop forever).
@@ -148,11 +151,16 @@ def fit_with_recovery(
                         f"gave up after {max_faults} faults — fault rate outpaces "
                         "progress at this snapshot interval"
                     ) from exc
+                # A real crash loses memory: restore from the durable file
+                # (CRC-checked on read) whenever there is one.
+                snap = (
+                    state["latest"] if snapshot_path is None else read_snapshot(snapshot_path)
+                )
                 crashed_at = exc.step if exc.step is not None else state["final_step"]
-                lost = crashed_at - state["latest"].cursor.step
+                lost = crashed_at - snap.cursor.step
                 counts["lost"] += lost
                 metrics.gauge("resilience.lost_steps").set(counts["lost"])
-                cursor = restore_snapshot(trainer, state["latest"])
+                cursor = restore_snapshot(trainer, snap)
                 counts["restores"] += 1
         span.set_tag("faults", counts["faults"])
         span.set_tag("lost_steps", counts["lost"])

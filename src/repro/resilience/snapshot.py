@@ -7,7 +7,7 @@ not days.  One snapshot captures everything a bit-identical resume
 needs:
 
 * every layer parameter (raw little-endian bytes, exact);
-* the optimizer's internal state (momentum/Adam moments, step count);
+* the optimizer's internal state (momentum velocities);
 * the RNG cursor — because :meth:`Trainer.fit
   <repro.autodiff.trainer.Trainer.fit>` derives epoch ``k``'s batch
   order purely from ``(shuffle_seed, k)``, the cursor is just the
@@ -21,11 +21,10 @@ typed :class:`~repro.errors.SnapshotError` for anything malformed —
 plus a CRC-32 over the array payloads so corrupted or truncated files
 fail loudly instead of resuming garbage.
 
-Snapshot-interval *policies* decide when to pay the write cost δ:
-:class:`FixedIntervalPolicy` every N steps, or :class:`YoungDalyPolicy`
-at the classic optimum ``τ* = √(2·δ·MTBF)`` with δ priced by
-:meth:`StorageProfile.write_seconds
-<repro.edge.storage.StorageProfile.write_seconds>`.
+:class:`FixedIntervalPolicy` decides when to pay the write cost δ
+(every N steps); :func:`young_daly_interval` is the classic optimum
+``τ* = √(2·δ·MTBF)`` that :mod:`repro.resilience.analysis` sweeps
+around.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ import numpy as np
 
 from ..atomic import atomic_write_text
 from ..autodiff.trainer import EpochRecord, FitCursor, Trainer
-from ..edge.storage import SD_CARD, StorageProfile
-from ..errors import ConfigError, SnapshotError, at_least, positive
+from ..errors import ConfigError, SnapshotError, at_least
 from ..obs import get_metrics, get_tracer
 
 __all__ = [
@@ -54,11 +52,8 @@ __all__ = [
     "snapshot_from_json",
     "write_snapshot",
     "read_snapshot",
-    "snapshot_nbytes",
     "young_daly_interval",
-    "SnapshotPolicy",
     "FixedIntervalPolicy",
-    "YoungDalyPolicy",
 ]
 
 SNAPSHOT_FORMAT_VERSION = 1
@@ -371,15 +366,6 @@ def read_snapshot(path: str | pathlib.Path) -> TrainingSnapshot:
     return snapshot_from_json(text)
 
 
-def snapshot_nbytes(trainer: Trainer) -> int:
-    """Predicted durable-snapshot payload size for a trainer.
-
-    Parameters plus optimizer state — the quantity to feed a
-    :class:`~repro.edge.storage.StorageProfile` for the Young/Daly δ.
-    """
-    return trainer.net.param_bytes + trainer.optimizer.state_bytes
-
-
 # ---------------------------------------------------------------------------
 # Interval policies
 # ---------------------------------------------------------------------------
@@ -392,48 +378,12 @@ def young_daly_interval(mtbf_seconds: float, snapshot_seconds: float) -> float:
     return math.sqrt(2.0 * snapshot_seconds * mtbf_seconds)
 
 
-class SnapshotPolicy:
-    """Decides, in optimizer steps, when the next durable write is due."""
-
-    #: steps between durable snapshots (subclasses compute it).
-    interval_steps: int = 1
-
-    def due(self, step: int, last_snapshot_step: int) -> bool:
-        """True when ``step`` should pay the write cost."""
-        return step - last_snapshot_step >= self.interval_steps
-
-
-class FixedIntervalPolicy(SnapshotPolicy):
+class FixedIntervalPolicy:
     """Snapshot every ``interval_steps`` optimizer steps."""
 
     def __init__(self, interval_steps: int) -> None:
         self.interval_steps = int(at_least("interval_steps", interval_steps, 1))
 
-
-class YoungDalyPolicy(SnapshotPolicy):
-    """Snapshot at the Young/Daly optimum, discretized to steps.
-
-    ``snapshot_seconds`` defaults to pricing ``snapshot_bytes`` on the
-    given storage profile (δ = write cost of the durable state), and
-    ``step_seconds`` converts τ* from seconds into optimizer steps.
-    """
-
-    def __init__(
-        self,
-        mtbf_seconds: float,
-        step_seconds: float,
-        *,
-        snapshot_bytes: int | None = None,
-        snapshot_seconds: float | None = None,
-        storage: StorageProfile = SD_CARD,
-    ) -> None:
-        positive("step_seconds", step_seconds)
-        if snapshot_seconds is None:
-            if snapshot_bytes is None:
-                raise ConfigError("give snapshot_bytes or snapshot_seconds")
-            snapshot_seconds = storage.write_seconds(snapshot_bytes)
-        self.mtbf_seconds = mtbf_seconds
-        self.snapshot_seconds = float(snapshot_seconds)
-        self.step_seconds = float(step_seconds)
-        self.tau_star_seconds = young_daly_interval(mtbf_seconds, self.snapshot_seconds)
-        self.interval_steps = max(1, round(self.tau_star_seconds / step_seconds))
+    def due(self, step: int, last_snapshot_step: int) -> bool:
+        """True when ``step`` should pay the write cost."""
+        return step - last_snapshot_step >= self.interval_steps

@@ -1,10 +1,11 @@
 """In-situ student training on the harvested dataset.
 
-The student is a small MLP built on :mod:`repro.autodiff`.  Training can
-run *checkpointed*: given a per-batch activation budget, the planner picks
-a Revolve slot count and every optimizer step executes the schedule-driven
-backward pass — the end-to-end tie between Sections III and VI of the
-paper.  Gradients are identical either way; only the peak memory differs.
+The student is a small MLP built on :mod:`repro.autodiff` and trained by
+its :class:`~repro.autodiff.Trainer`.  Training can run *checkpointed*:
+given a recompute factor, the trainer picks the minimal Revolve slot count
+and every optimizer step executes the schedule-driven backward pass —
+the end-to-end tie between Sections III and VI of the paper.  Gradients
+are identical either way; only the peak memory differs.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from ..autodiff import (
     Momentum,
     ReLULayer,
     SequentialNet,
+    Trainer,
+    TrainerConfig,
     accuracy,
-    batches,
-    run_schedule,
-    softmax_cross_entropy,
 )
 from ..autodiff.data import Dataset
-from ..checkpointing import revolve_schedule, slots_for_rho
 from ..errors import at_least, positive
 
 __all__ = ["StudentConfig", "StudentModel", "train_student"]
@@ -97,28 +96,19 @@ def train_student(
     num_classes: int,
     cfg: StudentConfig = StudentConfig(),
 ) -> StudentModel:
-    """Train the student, checkpointed when ``cfg.rho`` is set."""
+    """Train the student through :class:`Trainer`, checkpointed when ``cfg.rho`` is set."""
     net = build_student(data.x.shape[1], num_classes, cfg)
-    opt = Momentum(net.layers, lr=cfg.lr)
-    rng = np.random.default_rng(cfg.seed + 1)
-    schedule = None
-    if cfg.rho is not None:
-        slots = slots_for_rho(len(net), cfg.rho)
-        schedule = revolve_schedule(len(net), slots)
-    losses: list[float] = []
-    peak = 0
-    for _ in range(cfg.epochs):
-        epoch_loss = 0.0
-        n_batches = 0
-        for xb, yb in batches(data, cfg.batch_size, rng):
-            if schedule is None:
-                loss, grads, step_peak = net.train_step(xb, yb, softmax_cross_entropy)
-            else:
-                res = run_schedule(net, schedule, xb, yb, softmax_cross_entropy)
-                loss, grads, step_peak = res.loss, res.grads, res.peak_bytes
-            opt.step(grads)
-            epoch_loss += loss
-            n_batches += 1
-            peak = max(peak, step_peak)
-        losses.append(epoch_loss / max(1, n_batches))
-    return StudentModel(net=net, losses=losses, peak_bytes=peak)
+    trainer = Trainer(
+        net,
+        Momentum(net.layers, lr=cfg.lr),
+        TrainerConfig(
+            epochs=cfg.epochs,
+            batch_size=cfg.batch_size,
+            shuffle_seed=cfg.seed + 1,
+            rho=cfg.rho,
+        ),
+    )
+    history = trainer.fit(data)
+    return StudentModel(
+        net=net, losses=[r.mean_loss for r in history], peak_bytes=trainer.peak_bytes
+    )

@@ -17,10 +17,6 @@ __all__ = [
     "FLOAT16_BYTES",
     "FLOAT64_BYTES",
     "DTYPE_BYTES",
-    "to_mb",
-    "to_gb",
-    "from_mb",
-    "from_gb",
     "humanize_bytes",
 ]
 
@@ -45,26 +41,6 @@ DTYPE_BYTES: dict[str, int] = {
     "int32": 4,
     "int64": 8,
 }
-
-
-def to_mb(nbytes: float) -> float:
-    """Convert bytes to (binary) megabytes."""
-    return nbytes / MB
-
-
-def to_gb(nbytes: float) -> float:
-    """Convert bytes to (binary) gigabytes."""
-    return nbytes / GB
-
-
-def from_mb(megabytes: float) -> int:
-    """Convert (binary) megabytes to whole bytes, rounding to nearest."""
-    return int(round(megabytes * MB))
-
-
-def from_gb(gigabytes: float) -> int:
-    """Convert (binary) gigabytes to whole bytes, rounding to nearest."""
-    return int(round(gigabytes * GB))
 
 
 def humanize_bytes(nbytes: float, precision: int = 2) -> str:

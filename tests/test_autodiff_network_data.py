@@ -14,7 +14,6 @@ from repro.autodiff import (
     gaussian_blobs,
     image_blobs,
     softmax_cross_entropy,
-    spirals,
 )
 from repro.autodiff.data import Dataset
 
@@ -103,11 +102,6 @@ class TestDatasets:
         side = np.sign((d.x - mid) @ (d.x[d.y == 1].mean(0) - mid))
         acc = max((side == np.where(d.y == 1, 1, -1)).mean(), (side != np.where(d.y == 1, 1, -1)).mean())
         assert acc > 0.95
-
-    def test_spirals_balanced(self, rng):
-        d = spirals(25, 3, rng)
-        counts = np.bincount(d.y)
-        assert (counts == 25).all()
 
     def test_image_blobs_nchw(self, rng):
         d = image_blobs(4, 4, 8, rng, channels=2)

@@ -1,35 +1,15 @@
-"""Closed-form analysis: regimes, Pareto frontier, slot bounds."""
-
-import math
+"""Closed-form analysis: the exact Pareto frontier."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checkpointing import (
     ParetoPoint,
-    beta,
     extra_forwards,
     pareto_frontier,
-    regime_table,
     rho_for_slots,
-    slots_for_repetitions,
-    slots_logarithmic_bound,
 )
 from repro.errors import PlanningError
-
-
-class TestRegimes:
-    def test_table_values_are_binomials(self):
-        table = regime_table(3, 4)
-        assert table == [(1, 4), (2, 10), (3, 20), (4, 35)]
-
-    def test_first_regime_is_store_all_plus_one(self):
-        for c in (1, 2, 5, 10):
-            assert regime_table(c, 1)[0] == (1, c + 1)
-
-    def test_validation(self):
-        with pytest.raises(PlanningError):
-            regime_table(0)
 
 
 class TestParetoFrontier:
@@ -66,35 +46,3 @@ class TestParetoFrontier:
     def test_validation(self):
         with pytest.raises(PlanningError):
             pareto_frontier(0)
-
-
-class TestSlotBounds:
-    @given(l=st.integers(1, 10_000), r=st.integers(1, 6))
-    @settings(max_examples=100, deadline=None)
-    def test_minimality(self, l, r):
-        c = slots_for_repetitions(l, r)
-        assert beta(c, r) >= l
-        if c > 1:
-            assert beta(c - 1, r) < l
-
-    def test_r1_is_store_all(self):
-        assert slots_for_repetitions(100, 1) == 99
-
-    def test_log_bound_scaling(self):
-        """c(r=2) grows like sqrt(2l): sub-linear slot requirements."""
-        for l in (50, 200, 800, 3200):
-            c = slots_logarithmic_bound(l)
-            assert c <= math.ceil(math.sqrt(2 * l)) + 1
-            assert beta(c, 2) >= l
-
-    def test_rho_at_log_bound_below_two(self):
-        """At the r=2 slot count, the achieved rho stays <= 2."""
-        for l in (18, 50, 152, 500):
-            c = slots_logarithmic_bound(l)
-            assert rho_for_slots(l, c) <= 2.0 + 1e-12
-
-    def test_validation(self):
-        with pytest.raises(PlanningError):
-            slots_for_repetitions(0, 1)
-        with pytest.raises(PlanningError):
-            slots_for_repetitions(5, 0)

@@ -6,8 +6,7 @@ import pytest
 
 from repro.checkpointing import ChainSpec
 from repro.errors import ScheduleError
-from repro.graph import LinearChain, linearize
-from repro.zoo import tiny_residual
+from repro.graph import LinearChain
 
 
 class TestHomogeneous:
@@ -71,10 +70,3 @@ class TestConstructors:
         chain = LinearChain(name="lin", length=2, act_bytes=1, weight_bytes=0, step_flops=2)
         spec = ChainSpec.from_linear_chain(chain, bwd_ratio=2.0)
         assert spec.bwd_cost == (4.0, 4.0)
-
-    def test_from_segment_chain_real_resnet(self):
-        seg = linearize(tiny_residual())
-        spec = ChainSpec.from_segment_chain(seg)
-        assert spec.length == seg.length
-        assert not spec.is_homogeneous
-        assert spec.act_bytes[0] == seg.input_bytes

@@ -18,8 +18,6 @@ from repro.checkpointing import (
 from repro.checkpointing.actions import snapshot
 from repro.checkpointing.strategies import available_strategies, get_strategy
 from repro.errors import PlanningError, ScheduleError
-from repro.graph import linearize
-from repro.zoo import tiny_residual
 
 
 def random_spec(draw_costs, draw_sizes, l):
@@ -81,7 +79,15 @@ class TestHeteroSchedule:
         assert stats.peak_slots <= c
 
     def test_on_real_resnet_block_chain(self):
-        spec = ChainSpec.from_segment_chain(linearize(tiny_residual()))
+        # tiny_residual's block chain: per-stage output bytes and forward
+        # FLOPs, backward at twice the forward.
+        fwd = (110592.0, 4096.0, 2048.0, 593920.0, 2048.0, 593920.0, 2048.0, 2048.0, 64.0)
+        spec = ChainSpec(
+            name="TinyResidual",
+            act_bytes=(3072,) + (8192,) * 7 + (32, 16),
+            fwd_cost=fwd,
+            bwd_cost=tuple(2.0 * f for f in fwd),
+        )
         sch = hetero_schedule(spec, 2)
         stats = simulate(sch, spec)
         assert stats.forward_cost == pytest.approx(opt_forwards_hetero(spec, 2))

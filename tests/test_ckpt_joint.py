@@ -124,10 +124,13 @@ class TestPlannedEqualsMeasured:
         from repro.engine.vm import execute
 
         rng = random.Random(seed)
-        spec = random_spec(rng, rng.randint(2, 18))
-        c = rng.randint(1, 4)
-        unit_s = 1e-9
+        # At least 3 steps and c <= l // 2, so some checkpoint must leave
+        # RAM; at 0.1 s per forward unit, paging it beats recomputing.
+        spec = random_spec(rng, max(3, rng.randint(2, 18)))
+        c = min(rng.randint(1, 4), spec.length // 2)
+        unit_s = 0.1
         obj = TimeObjective(spec, disk=disk, unit_seconds=unit_s)
+        assert joint_plan(spec, c, obj).paged
         sched = joint_schedule(spec, c, obj)
         run = execute(sched, TieredBackend(spec, disk=disk))
         measured = (run.forward_cost + run.replay_cost) * unit_s + run.transfer_seconds
@@ -145,9 +148,10 @@ class TestPlannedEqualsMeasured:
         from repro.engine.vm import execute
 
         rng = random.Random(100 + seed)
-        spec = random_spec(rng, rng.randint(2, 18))
-        c = rng.randint(1, 4)
-        obj = EnergyObjective(spec, disk=SD_CARD)
+        spec = random_spec(rng, max(3, rng.randint(2, 18)))
+        c = min(rng.randint(1, 4), spec.length // 2)
+        obj = EnergyObjective(spec, disk=SD_CARD, compute_j_per_unit=0.1)
+        assert joint_plan(spec, c, obj).paged
         sched = joint_schedule(spec, c, obj)
         run = execute(sched, TieredBackend(spec, disk=SD_CARD))
         measured = (

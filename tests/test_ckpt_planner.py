@@ -12,7 +12,6 @@ from repro.checkpointing import (
     extra_forwards,
     max_slots_in_budget,
     measure_frontier,
-    memory_curve,
     memory_for_slots,
     plan_training,
     rho_for_budget,
@@ -89,16 +88,19 @@ class TestMemoryMaps:
 
 
 class TestCurves:
+    @staticmethod
+    def memory_at(l, fixed, slot, rho):
+        """One Figure 1 point: peak bytes at the minimal slots for ``rho``."""
+        return memory_for_slots(slots_for_rho(l, rho), fixed, slot)
+
     def test_monotone_nonincreasing_in_rho(self):
-        pts = memory_curve(152, 1e9, 1e7, [1.0, 1.2, 1.5, 2.0, 3.0])
-        mems = [p.memory_bytes for p in pts]
+        mems = [self.memory_at(152, 1e9, 1e7, rho) for rho in (1.0, 1.2, 1.5, 2.0, 3.0)]
         assert mems == sorted(mems, reverse=True)
 
     def test_rho_one_point_is_store_all(self):
         l, fixed, slot = 101, 5e8, 2e7
-        pts = memory_curve(l, fixed, slot, [1.0])
-        assert pts[0].memory_bytes == fixed + l * slot
-        assert pts[0].extra_forwards == 0
+        assert self.memory_at(l, fixed, slot, 1.0) == fixed + l * slot
+        assert extra_forwards(l, slots_for_rho(l, 1.0)) == 0
 
     def test_paper_figure1b_shape(self):
         """Figure 1b headline: at rho=1 ResNet-50+ exceed 2 GB at batch 8;
@@ -107,9 +109,9 @@ class TestCurves:
         for depth, must_fit_at_1 in ((18, True), (34, True), (50, False), (101, False), (152, False)):
             m = cal[depth]
             slot = 8 * m.act224_bytes / depth
-            at1 = memory_curve(depth, m.fixed_bytes, slot, [1.0])[0].memory_bytes
+            at1 = self.memory_at(depth, m.fixed_bytes, slot, 1.0)
             assert (at1 <= 2 * GB) == must_fit_at_1
-            at16 = memory_curve(depth, m.fixed_bytes, slot, [1.6])[0].memory_bytes
+            at16 = self.memory_at(depth, m.fixed_bytes, slot, 1.6)
             assert at16 <= 2 * GB
 
     def test_rho_for_budget_inverse(self):

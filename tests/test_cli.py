@@ -231,6 +231,7 @@ class TestExtensionCommands:
                 ("exec", "--act-kb", "nan", "--length", "5", "--slots", "2"),
                 "act_kb must be finite and >= 0, got nan",
             ),
+            (("ablation", "--length", "0"), "chain length must be >= 1, got 0"),
         ),
         ids=(
             "fleet-nodes0", "fleet-crash-nan", "energy-gflops-nan",
@@ -242,6 +243,7 @@ class TestExtensionCommands:
             "resilience-snapshot-negative", "campaign-target-above-1", "viewpoint-epochs0",
             "energy-image-kb-inf", "resilience-seed-negative", "resilience-snapshot-inf",
             "exec-act-kb-inf", "exec-act-kb-inf-compile", "exec-act-kb-nan",
+            "ablation-length0",
         ),
     )
     def test_bad_input_exits_2_without_traceback(self, capsys, argv, message):
@@ -319,6 +321,9 @@ class TestSpecCommands:
 
     #: sha256 of stdout captured from the hand-written handlers these
     #: specs replaced, at defaults and at one non-default flag set.
+    #: ``viewpoint --subjects 20 --epochs 3`` was re-pinned when the
+    #: student moved onto ``Trainer.fit``, whose batch order is drawn per
+    #: epoch from ``(shuffle_seed, epoch)``.
     STDOUT_SHA256 = {
         "profile": "63875d565cbf593480d155c7b0c95821ee03269dcce2d4ac475893e837f48745",
         "profile --model 18 --top 4":
@@ -341,7 +346,7 @@ class TestSpecCommands:
         "batch-tradeoff --model 18 --device RaspberryPi4 --images 1000":
             "fbafe76454518f72cc3cbd796ef7f3ea80b57ddfeef7cadc979a815995b83a13",
         "viewpoint --subjects 20 --epochs 3":
-            "9a6d358ccd276ff9cfff720d1a48b8741f3ffb54747523180d756326fe9ef4b5",
+            "4d9bbe39ba9544bc732c213b22c891eb1186a1502542415dbf30a32175876245",
         "viewpoint --subjects 20 --epochs 3 --seed 1":
             "8035d209fc9ad85353e8fcfb524f2e81361ac0ddd7db8a138ad5fe12ce65b225",
     }
@@ -392,6 +397,10 @@ class TestSpecCommands:
         again = run(capsys, *argv)
         assert "lab cache: 1 hits / 0 misses" in again
         assert again.rpartition("lab cache")[0] == first.rpartition("lab cache")[0]
+        # ...and the run's manifest records the inf param and validates.
+        from repro import lab
+
+        assert lab.check_manifests(lab.ArtifactStore(tmp_path)) == 1
 
     def test_energy_infinite_gflops(self, capsys):
         assert "local inf kJ -> ship wins" in run(capsys, "energy", "--gflops", "inf")

@@ -95,6 +95,18 @@ class TestRun:
         assert "1 hits / 0 misses" in out2
         assert out1.splitlines()[:-1] == out2.splitlines()[:-1]
 
+    @pytest.mark.parametrize("spec, fmt", [("section5", "json"), ("pareto", "ascii")])
+    def test_run_with_outdir_leaves_a_manifest(self, capsys, tmp_path, spec, fmt):
+        out = run(capsys, "run", spec, "--format", fmt, "--outdir", str(tmp_path))
+        store = lab.ArtifactStore(tmp_path)
+        assert lab.check_manifests(store) == 1
+        ((stem, doc),) = store.manifests()
+        key = lab.unit_key(lab.get_spec(spec), lab.get_spec(spec).validate_params({}))
+        assert doc["key"] == key and stem == f"{spec}-{key[:16]}"
+        assert stem not in {u.stem for u in lab.default_units()}
+        (filename,) = doc["outputs"]
+        assert (tmp_path / filename).read_text().rstrip("\n") == out.rsplit("\n", 2)[0]
+
 
 class TestAll:
     def test_second_run_is_all_hits(self, capsys, tmp_path):

@@ -8,15 +8,13 @@ from repro.checkpointing import (
     ActionKind,
     Schedule,
     adjoint,
-    memory_curve,
     restore,
     revolve_schedule,
+    slots_for_rho,
     snapshot,
 )
 from repro.edge import ODROID_XU4, TrainingWorkload, estimate_epoch
-from repro.errors import GraphError
 from repro.experiments import default_rhos
-from repro.graph import Add, Graph, Identity, TensorSpec, linearize
 from repro.units import MB
 
 
@@ -72,26 +70,9 @@ class TestFigure1Grid:
     def test_memory_curve_respects_bwd_ratio(self):
         # Heavier backward -> recompute is cheaper in rho terms -> fewer
         # slots needed at the same rho -> less memory.
-        a = memory_curve(50, 0.0, 1.0, [1.2], bwd_ratio=1.0)[0]
-        b = memory_curve(50, 0.0, 1.0, [1.2], bwd_ratio=2.0)[0]
-        assert b.slots <= a.slots
-
-
-class TestLinearizeMultiInput:
-    def test_two_sources_rejected(self):
-        g = Graph("two_in")
-        a = g.add_input("a", TensorSpec((4,)))
-        b = g.add_input("b", TensorSpec((4,)))
-        g.add("merge", Add(), [a, b])
-        with pytest.raises(GraphError):
-            linearize(g)
-
-    def test_single_node_graph(self):
-        g = Graph("solo")
-        src = g.add_input("in", TensorSpec((4,)))
-        g.add("id", Identity(), [src])
-        chain = linearize(g)
-        assert chain.length == 1
+        a = slots_for_rho(50, 1.2, bwd_ratio=1.0)
+        b = slots_for_rho(50, 1.2, bwd_ratio=2.0)
+        assert b <= a
 
 
 class TestEpochEstimateKnobs:

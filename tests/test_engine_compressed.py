@@ -28,7 +28,6 @@ from repro.checkpointing import (
     joint_cost,
     joint_plan,
     joint_schedule,
-    local_slot,
     measure_frontier,
     storage_slot,
     tier_of_slot,
@@ -82,9 +81,7 @@ class TestCompressedBand:
     def test_tier_helpers_strip_the_flag(self):
         flagged = compressed_slot(tier_slot(1, 5))
         assert tier_of_slot(flagged) == 1
-        assert local_slot(flagged) == 5
         assert tier_of_slot(compressed_slot(2)) == 0
-        assert local_slot(compressed_slot(2)) == 2
 
     def test_compressed_slot_rejects_out_of_band(self):
         from repro.errors import ScheduleError

@@ -20,7 +20,7 @@ from repro.checkpointing import (
     slots_for_rho,
     slots_for_rhos,
 )
-from repro.checkpointing.actions import Action, ActionKind, tier_name
+from repro.checkpointing.actions import Action, ActionKind
 from repro.checkpointing.strategies import available_strategies, get_strategy
 from repro.edge.storage import SD_CARD
 from repro.engine import (
@@ -100,7 +100,7 @@ class TestDifferential:
         run = execute(sch, TieredBackend(spec, disk=SD_CARD))
         ledger = {t.name: (t.writes, t.reads, t.peak_slots) for t in run.tiers}
         for tier, snaps, reads, peak in sch.program.tier_usage:
-            assert ledger.pop(tier_name(tier)) == (snaps, reads, peak)
+            assert ledger.pop(("memory", "disk")[tier]) == (snaps, reads, peak)
         assert all(row == (0, 0, 0) for row in ledger.values())
 
     def test_traced_step_stats_identical_shapes(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import errors
-from repro.autodiff import SGD, Adam, Momentum
+from repro.autodiff import SGD, Momentum
 from repro.autodiff.trainer import FitCursor, TrainerConfig
 from repro.checkpointing import ChainSpec
 from repro.edge import DutyCycleSimulator
@@ -24,9 +24,6 @@ from repro.memory import AccountingPolicy
 from repro.resilience import (
     FixedIntervalPolicy,
     PoissonFaults,
-    PowerLossFaults,
-    WeibullFaults,
-    YoungDalyPolicy,
 )
 from repro.studentteacher import PipelineConfig, StudentConfig
 
@@ -128,9 +125,6 @@ CASES = (
          ("target_accuracy", "crossings_per_day", "images_per_crossing", "labelled_fraction",
           "epochs_per_session", "max_days", "seed")),
     Case("PoissonFaults", PoissonFaults, {}, ("mtbf_seconds",), frozenset({"mtbf_seconds"})),
-    Case("WeibullFaults", WeibullFaults, {}, ("mtbf_seconds", "shape"),
-         frozenset({"mtbf_seconds"})),
-    Case("PowerLossFaults", PowerLossFaults, {}, ("arrival_rate_per_hour", "loss_probability")),
     Case("StudentConfig", StudentConfig, dict(rho=1.5),
          ("hidden", "depth", "epochs", "batch_size", "lr", "rho", "seed")),
     Case("PipelineConfig", PipelineConfig, dict(angle_bins=(15.0, 30.0, 45.0, 60.0)),
@@ -158,15 +152,11 @@ CASES = (
                     "decompress_latency_s"})),
     Case("SGD", SGD, dict(layers=[]), ("lr",)),
     Case("Momentum", Momentum, dict(layers=[]), ("lr",)),
-    Case("Adam", Adam, dict(layers=[]), ("lr",)),
     # loss_sum is a measured accumulator (a diverged run's NaN loss must
     # still be resumable), not a configured value.
     Case("FitCursor", FitCursor, {}, ("epoch", "batch", "step", "peak_bytes")),
     Case("AccountingPolicy", AccountingPolicy, dict(name="p"),
          ("weight_copies", "activation_copies")),
-    Case("YoungDalyPolicy", YoungDalyPolicy,
-         dict(mtbf_seconds=3600.0, step_seconds=1.0, snapshot_seconds=5.0),
-         ("mtbf_seconds", "step_seconds", "snapshot_seconds")),
     Case("FixedIntervalPolicy", FixedIntervalPolicy, dict(interval_steps=5), ("interval_steps",)),
     Case("DutyCycleSimulator", DutyCycleSimulator, dict(rng=np.random.default_rng(0)),
          ("arrival_rate_per_hour", "mean_task_seconds")),

@@ -1,4 +1,4 @@
-"""Ablation experiments: strategy dominance, batch trade-off, harvesting."""
+"""Ablation experiments: strategy dominance and the batch trade-off."""
 
 import math
 
@@ -8,11 +8,9 @@ from repro.edge import ODROID_XU4, TrainingWorkload
 from repro.experiments import (
     batch_tradeoff,
     batch_tradeoff_table,
-    harvest_ablation,
     strategy_ablation,
     strategy_ablation_table,
 )
-from repro.studentteacher import PipelineConfig, StudentConfig
 from repro.units import MB
 
 
@@ -92,24 +90,3 @@ class TestBatchTradeoff:
         times = [float(cells[4]) for cells in rows.values()]
         assert times == sorted(times, reverse=True)
         assert all(float(cells[3]) <= ODROID_XU4.mem_bytes / MB + 1 for cells in rows.values())
-
-
-class TestHarvestAblation:
-    @pytest.fixture(scope="class")
-    def points(self):
-        cfg = PipelineConfig(n_subjects=40, student=StudentConfig(epochs=2))
-        return harvest_ablation(cfg, thresholds=(0.5, 0.9))
-
-    def test_covers_grid(self, points):
-        assert len(points) == 4
-        assert {p.label_source for p in points} == {"track_end", "max_confidence"}
-
-    def test_track_end_at_least_as_pure(self, points):
-        by = {(p.label_source, p.confidence_threshold): p for p in points}
-        for thr in (0.5, 0.9):
-            assert by[("track_end", thr)].purity >= by[("max_confidence", thr)].purity
-
-    def test_stricter_threshold_fewer_samples(self, points):
-        by = {(p.label_source, p.confidence_threshold): p for p in points}
-        for src in ("track_end", "max_confidence"):
-            assert by[(src, 0.9)].samples <= by[(src, 0.5)].samples

@@ -1,79 +1,10 @@
-"""Linearization: cut points, segment chains, homogenization."""
+"""Homogenization into the paper's LinearChain."""
 
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import (
-    LinearChain,
-    TensorSpec,
-    cut_points,
-    homogenize,
-    linearize,
-)
-from repro.zoo import build_resnet, plain_chain, simple_cnn, tiny_residual
-
-
-class TestCutPoints:
-    def test_sequential_every_node_is_cut(self):
-        net = plain_chain(depth=4)
-        cuts = cut_points(net)
-        # input + each of the 4 linear steps
-        assert len(cuts) == 5
-
-    def test_residual_cuts_at_block_boundaries(self):
-        g = tiny_residual()
-        cuts = cut_points(g)
-        # Interior of a residual block is never a cut (skip edge crosses it).
-        assert "b0_conv1" not in cuts
-        assert "b0_relu2" in cuts  # block output is a cut
-        assert "b1_relu2" in cuts
-
-    def test_final_node_always_cut(self):
-        g = tiny_residual()
-        assert cut_points(g)[-1] == "fc"
-
-    def test_resnet18_has_block_cuts(self):
-        g = build_resnet(18, image_size=64)
-        cuts = cut_points(g)
-        # stem pool + 8 blocks + head pieces; at least one cut per block.
-        for i in range(2):
-            assert f"layer1.{i}.relu2" in cuts
-        assert "head.fc" in cuts
-
-
-class TestLinearize:
-    def test_total_activations_preserved(self):
-        g = tiny_residual()
-        chain = linearize(g)
-        g.infer()
-        input_bytes = chain.input_bytes
-        # stage boundaries + interiors + input == all node outputs
-        assert chain.total_act_bytes + input_bytes == g.activation_bytes_per_sample()
-
-    def test_weight_bytes_preserved(self):
-        g = tiny_residual()
-        assert linearize(g).weight_bytes == g.trainable_bytes
-
-    def test_flops_preserved(self):
-        g = tiny_residual()
-        chain = linearize(g)
-        assert chain.total_flops == g.total_flops_per_sample()
-
-    def test_stage_names_are_cut_nodes(self):
-        g = simple_cnn(image_size=16)
-        chain = linearize(g)
-        assert [s.name for s in chain.stages][-1] == "fc2"
-
-    def test_homogeneous_detection(self):
-        net = plain_chain(depth=5, features=8)
-        chain = linearize(net)
-        assert chain.is_homogeneous()
-
-    def test_resnet_chain_heterogeneous(self):
-        g = build_resnet(18, image_size=64)
-        chain = linearize(g)
-        assert not chain.is_homogeneous()
-        assert chain.length >= 10  # stem, 8 blocks, head pieces
+from repro.graph import LinearChain, homogenize
+from repro.zoo import build_resnet, simple_cnn
 
 
 class TestHomogenize:
@@ -89,15 +20,6 @@ class TestHomogenize:
         g = simple_cnn(image_size=16)
         with pytest.raises(GraphError):
             homogenize(g, depth=0)
-
-    def test_as_segment_chain_round_trip(self):
-        chain = LinearChain(name="x", length=5, act_bytes=100, weight_bytes=400, step_flops=7)
-        seg = chain.as_segment_chain()
-        assert seg.length == 5
-        assert seg.is_homogeneous()
-        assert seg.total_act_bytes == 500
-        assert seg.weight_bytes == 400
-
 
 class TestLinearChainValidation:
     def test_rejects_bad_length(self):

@@ -20,9 +20,7 @@ from repro.graph import (
     MaxPool2d,
     ReLU,
     TensorSpec,
-    cut_points,
     homogenize,
-    linearize,
 )
 from repro.memory import INFERENCE_POLICY, TRAINING_POLICY, account
 
@@ -74,40 +72,6 @@ graph_params = dict(
     image=st.sampled_from([8, 16, 32]),
     channels=st.sampled_from([4, 8]),
 )
-
-
-@given(**graph_params)
-@settings(max_examples=40, deadline=None)
-def test_linearize_conserves_totals(seed, n_blocks, image, channels):
-    """Chain totals equal graph totals for every random DAG."""
-    g = random_graph(seed, n_blocks, image, channels)
-    chain = linearize(g)
-    assert chain.total_act_bytes + chain.input_bytes == g.activation_bytes_per_sample()
-    assert chain.weight_bytes == g.trainable_bytes
-    assert chain.total_flops == g.total_flops_per_sample()
-
-
-@given(**graph_params)
-@settings(max_examples=40, deadline=None)
-def test_cut_points_are_sound(seed, n_blocks, image, channels):
-    """No edge may cross a cut except from the cut node itself."""
-    g = random_graph(seed, n_blocks, image, channels)
-    order = g.topological_order()
-    pos = {n: i for i, n in enumerate(order)}
-    for cut in cut_points(g):
-        i = pos[cut]
-        for node in g.nodes:
-            for src in node.inputs:
-                if pos[node.name] > i:
-                    assert pos[src] >= i or src == cut or pos[src] > i or src == cut, (
-                        cut,
-                        src,
-                        node.name,
-                    )
-                    # any producer at or before the cut feeding past it
-                    # must BE the cut node
-                    if pos[src] <= i:
-                        assert src == cut
 
 
 @given(**graph_params)

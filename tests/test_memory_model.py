@@ -1,9 +1,9 @@
-"""MemoryModel: scaling laws, budgets, n_max."""
+"""MemoryModel: scaling laws and budgets."""
 
 import pytest
 
 from repro.errors import MemoryBudgetError
-from repro.memory import MemoryModel, memory_model_for, n_max
+from repro.memory import MemoryModel, memory_model_for
 from repro.units import GB, MB
 from repro.zoo import build_resnet
 
@@ -57,24 +57,3 @@ class TestBudget:
     def test_batch_validation(self, model18):
         with pytest.raises(ValueError):
             model18.total_bytes(batch_size=0)
-
-
-class TestNMax:
-    def test_paper_formula(self):
-        # n_max = (M_C - M_W) / (k * M_A)
-        assert n_max(budget_bytes=1000, weight_bytes=200, act_bytes_per_layer=10, batch_size=4) == 20
-
-    def test_zero_when_weights_exceed_budget(self):
-        assert n_max(100, 200, 10, 1) == 0
-
-    def test_weight_copies(self):
-        base = n_max(1000, 100, 10, 1, weight_copies=1)
-        four = n_max(1000, 100, 10, 1, weight_copies=4)
-        assert four < base
-
-    def test_batch_scales_inverse(self):
-        assert n_max(1000, 0, 10, 1) == 2 * n_max(1000, 0, 10, 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            n_max(1000, 0, 10, 0)

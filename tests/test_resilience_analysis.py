@@ -7,7 +7,6 @@ import pytest
 from repro.errors import PlanningError
 from repro.resilience import (
     PoissonFaults,
-    WeibullFaults,
     daly_expected_makespan,
     overhead_vs_fault_rate,
     simulate_makespan,
@@ -89,13 +88,6 @@ class TestYoungDalyRecovery:
         text = sweep.render()
         assert "tau*" in text and "<-*" in text
         assert len(text.splitlines()) == len(sweep.rows) + 3
-
-    def test_weibull_faults_accepted(self):
-        sweep = sweep_intervals(
-            4 * 3600.0, 15.0, 60.0, 3 * 3600.0,
-            trials=10, seed=2, faults=WeibullFaults(3 * 3600.0, shape=0.8),
-        )
-        assert len(sweep.rows) == 7
 
     def test_empty_grid_rejected(self):
         with pytest.raises(PlanningError):

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FaultError
-from repro.resilience import (
-    FaultInjector,
-    PoissonFaults,
-    PowerLossFaults,
-    TransientDiskFaults,
-    WeibullFaults,
-)
+from repro.resilience import FaultInjector, PoissonFaults, TransientDiskFaults
 
 
 class TestFaultModels:
@@ -18,25 +12,12 @@ class TestFaultModels:
         "model",
         [
             PoissonFaults(mtbf_seconds=3600.0),
-            WeibullFaults(mtbf_seconds=3600.0, shape=0.7),
-            WeibullFaults(mtbf_seconds=3600.0, shape=1.5),
-            PowerLossFaults(arrival_rate_per_hour=10.0, loss_probability=0.1),
         ],
     )
     def test_sample_mean_matches_mtbf(self, model):
         rng = np.random.default_rng(0)
         draws = [model.sample_time_to_failure(rng) for _ in range(20_000)]
         assert np.mean(draws) == pytest.approx(model.mtbf_seconds, rel=0.05)
-
-    def test_weibull_shape_one_is_exponential(self):
-        """shape=1 degenerates to the memoryless model (same distribution)."""
-        w = WeibullFaults(mtbf_seconds=100.0, shape=1.0)
-        assert w._scale == pytest.approx(100.0)
-
-    def test_power_loss_mtbf_closed_form(self):
-        m = PowerLossFaults(arrival_rate_per_hour=6.0, loss_probability=0.01)
-        # MTBF = 1 / (rate * p) = 3600/6 / 0.01
-        assert m.mtbf_seconds == pytest.approx(60_000.0)
 
     def test_crash_times_sorted_within_horizon(self):
         rng = np.random.default_rng(1)
@@ -53,10 +34,6 @@ class TestFaultModels:
     def test_validation(self):
         with pytest.raises(ValueError):
             PoissonFaults(mtbf_seconds=0)
-        with pytest.raises(ValueError):
-            WeibullFaults(mtbf_seconds=100.0, shape=0)
-        with pytest.raises(ValueError):
-            PowerLossFaults(loss_probability=0.0)
         with pytest.raises(ValueError):
             TransientDiskFaults(write_failure_probability=1.0)
         with pytest.raises(ValueError):
@@ -119,6 +96,6 @@ class TestFaultInjector:
 
     def test_from_model_deterministic_under_seed(self):
         plan = lambda seed: FaultInjector.from_model(  # noqa: E731
-            WeibullFaults(40.0), 0.5, 300, np.random.default_rng(seed)
+            PoissonFaults(40.0), 0.5, 300, np.random.default_rng(seed)
         ).pending_steps
         assert plan(11) == plan(11)

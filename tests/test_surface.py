@@ -1,13 +1,25 @@
-"""Every library module is used by the program: none is left that only tests reach.
+"""Every library module and public def is used by the program, not only by tests.
 
-Tier-1 imports modules through their tests, so a module that nothing
-else uses still passes.  This guard reads the sources with ``ast``.  A
-non-``__init__`` module of ``src/repro`` counts as reached when a
+Tier-1 imports modules through their tests, so code that nothing else
+uses still passes.  This guard reads the sources with ``ast`` at two
+levels.
+
+*Modules.*  A non-``__init__`` module of ``src/repro`` counts as reached
+when a non-``__init__`` file of ``src/repro``, ``benchmarks/`` or
+``examples/`` imports it or one of its public names, or when the module
+registers a lab spec with ``experiment`` (the lab registry runs it).  A
+name counts however it arrives: from the module itself, re-exported by a
+package ``__init__``, or as an attribute of an imported package.
+
+*Defs.*  A public top-level ``def`` or ``class`` of such a module counts
+as reached when its own module uses it, or when some other
 non-``__init__`` file of ``src/repro``, ``benchmarks/`` or ``examples/``
-imports it or one of its public names, or when the module registers a
-lab spec with ``experiment`` (the lab registry runs it).  A name counts
-however it arrives: from the module itself, re-exported by a package
-``__init__``, or as an attribute of an imported package.
+names it: as an imported name, an attribute or a bare name.  The match
+is by name, so it can only over-count what is reached.
+
+Each allowlist entry carries the reason the code stays, and the guard
+also fails when an allowlisted module or def becomes reached or is gone,
+so the lists cannot go stale.
 """
 
 from __future__ import annotations
@@ -23,6 +35,30 @@ CALLERS = (SRC / "repro", ROOT / "benchmarks", ROOT / "examples")
 ALLOWED = {
     "repro.zoo.simple": "public model builders kept on purpose",
     "repro.graph.flops": "ChainSpec.from_network (ROADMAP item 4) prices steps with these rules",
+}
+
+# Public defs kept although nothing in the program names them.  Defs of
+# the modules in ``ALLOWED`` are covered by their module's entry.
+ALLOWED_DEFS = {
+    "repro.checkpointing.revolve.opt_forwards_dp":
+        "oracle: the DP value the closed-form Revolve cost is checked against",
+    "repro.checkpointing.simulator.validate":
+        "oracle: the boolean form of simulate that schedule tests assert with",
+    "repro.checkpointing.uniform.uniform_extra_forwards":
+        "oracle: closed form the uniform schedule's measured recompute is checked against",
+    "repro.engine.program.decompile":
+        "oracle: inverse of compile_schedule for the program round-trip tests",
+    "repro.lab.registry.unregister": "test seam: drops a spec a test registered",
+    "repro.obs.metrics.reset_metrics": "test seam: isolates the process metrics per test",
+    "repro.graph.layers.Identity": "test seam: pass-through node for hand-built DAGs",
+    "repro.zoo.resnet.resnet18": "public model builder kept on purpose",
+    "repro.zoo.resnet.resnet34": "public model builder kept on purpose",
+    "repro.zoo.resnet.resnet50": "public model builder kept on purpose",
+    "repro.zoo.resnet.resnet152": "public model builder kept on purpose",
+    "repro.zoo.vgg.vgg11": "public model builder kept on purpose",
+    "repro.autodiff.layers.BatchNormLayer":
+        "E23: accumulation is inexact under BatchNorm, checkpointing is not "
+        "(and ROADMAP item 11's E1 net)",
 }
 
 # ``python -m repro`` runs ``__main__``; like ``__init__`` it is a package
@@ -137,4 +173,55 @@ def test_every_library_module_is_reached_by_the_program():
     )
     assert ALLOWED.keys() <= unreached, (
         f"allowlisted modules that are reached or gone: {sorted(ALLOWED.keys() - unreached)}"
+    )
+
+
+def names_used(tree: ast.AST) -> set[str]:
+    """Every bare name, attribute and imported name a tree mentions."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+    return out
+
+
+def unreached_defs() -> set[str]:
+    index = Index()
+    callers = {
+        path: names_used(parse(path))
+        for root in CALLERS
+        for path in root.rglob("*.py")
+        if path.name != "__init__.py"
+    }
+    unreached: set[str] = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        module = module_name(path)
+        if path.name in PACKAGE_FILES or module in ALLOWED:
+            continue
+        body = index.trees[module].body
+        used = [names_used(node) for node in body]
+        for i, node in enumerate(body):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            if any(node.name in names for j, names in enumerate(used) if j != i):
+                continue
+            if any(node.name in names for caller, names in callers.items() if caller != path):
+                continue
+            unreached.add(f"{module}.{node.name}")
+    return unreached
+
+
+def test_every_public_def_is_reached_by_the_program():
+    unreached = unreached_defs()
+    assert not unreached - ALLOWED_DEFS.keys(), (
+        f"public defs only tests reach: {sorted(unreached - ALLOWED_DEFS.keys())}"
+    )
+    assert ALLOWED_DEFS.keys() <= unreached, (
+        f"allowlisted defs that are reached or gone: {sorted(ALLOWED_DEFS.keys() - unreached)}"
     )
